@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, curves, elliptic, energy, flow, networks
-from .exact_bounds import verify_bracket
 from .random_shapes import perturbed_circle, random_drop
 from .serialization import (curve_from_csv, curve_from_json, curve_to_csv,
                             curve_to_json, format_float, network_from_json,
@@ -57,9 +55,8 @@ class RunManifest:
 
 
 def _manifest(args, outputs) -> None:
-    skip = {"func", "threads"}
     params = {k: v for k, v in vars(args).items()
-              if k not in skip and not k.startswith("_")}
+              if k != "func" and not k.startswith("_")}
     cmd = params.pop("command")
     if "subcommand" in params:
         cmd = f"{cmd} {params.pop('subcommand')}"
@@ -204,11 +201,6 @@ def cmd_closure_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.target == "exact-bounds":
-        report = verify_bracket()
-        for name, ok, detail in report.checks:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
     if args.target == "all":
         results = run_all()
     else:
@@ -226,8 +218,6 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="elastica",
                                 description="elastica numerical toolkit")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap on BLAS/OpenMP threads used by numeric kernels")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="print the universal constants as JSON")
@@ -296,22 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_closure_search)
 
     sp = sub.add_parser("verify", help="run verification criteria")
-    sp.add_argument("target", choices=["all", "exact-bounds"] + list(CRITERION_NAMES))
+    sp.add_argument("target", choices=["all", *CRITERION_NAMES])
     sp.set_defaults(func=cmd_verify)
 
     return p
-
-
-def _apply_thread_cap(threads) -> None:
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=threads)
-    except ImportError:
-        pass
 
 
 def dispatch(argv=None) -> int:
@@ -320,7 +298,6 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    _apply_thread_cap(args.threads)
     if getattr(args, "kind", None) in ("perturbed-circle", "drop") and args.seed is None:
         print("generate: --seed is required for randomized kinds", file=sys.stderr)
         return EXIT_USAGE

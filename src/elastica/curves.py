@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import elliptic
 from .elliptic import constants
@@ -149,11 +148,6 @@ class LeafedElasticaSpec:
 # ---------------------------------------------------------------------------
 # analytic generators
 
-def _wavelike_point(s: float, m: float) -> tuple:
-    am = elliptic.amplitude(s, m)
-    return (2.0 * elliptic.incomplete_E(am, m) - s, -2.0 * math.sqrt(m) * math.cos(am))
-
-
 def sample_wavelike(m: float, s_lo: float, s_hi: float, n_samples: int) -> DiscreteCurve:
     """Arclength samples of the planar wavelike elastica
     (2E(am(s,m),m) - s, -2 sqrt(m) cn(s,m)); signed curvature 2 sqrt(m) cn(s,m)."""
@@ -162,15 +156,10 @@ def sample_wavelike(m: float, s_lo: float, s_hi: float, n_samples: int) -> Discr
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
     svals = np.linspace(s_lo, s_hi, n_samples)
-    pts = np.array([_wavelike_point(float(s), m) for s in svals])
+    am = elliptic.amplitude(svals, m)
+    pts = np.column_stack([2.0 * elliptic.incomplete_E(am, m) - svals,
+                           -2.0 * math.sqrt(m) * np.cos(am)])
     return DiscreteCurve(pts, closed=False)
-
-
-def _figure_eight_point(s: float, mstar: float, Kstar: float) -> tuple:
-    u = s - Kstar
-    am = elliptic.amplitude(u, mstar)
-    return (-2.0 * elliptic.incomplete_E(am, mstar) + u,
-            2.0 * math.sqrt(mstar) * math.cos(am))
 
 
 def sample_figure_eight(N_halves: int, n_samples: int, closed: Optional[bool] = None) -> DiscreteCurve:
@@ -189,7 +178,10 @@ def sample_figure_eight(N_halves: int, n_samples: int, closed: Optional[bool] = 
         svals = np.linspace(0.0, total, n_samples, endpoint=False)
     else:
         svals = np.linspace(0.0, total, n_samples)
-    pts = np.array([_figure_eight_point(float(s), c.m_star, c.K_star) for s in svals])
+    u = svals - c.K_star
+    am = elliptic.amplitude(u, c.m_star)
+    pts = np.column_stack([-2.0 * elliptic.incomplete_E(am, c.m_star) + u,
+                           2.0 * math.sqrt(c.m_star) * np.cos(am)])
     if closed:
         # the analytic curve returns to the origin; pin the wrap-around exactly
         pts[0] = 0.0
@@ -335,6 +327,8 @@ def propeller_curve(n_samples_per_leaf: int = 256, leaf_length: float = 1.0) -> 
 def propeller_cone_fit_residual() -> float:
     """Cross-check of the propeller cone angle: solve the 3-vector constraint
     system by nonlinear least squares and compare against the closed form."""
+    from scipy.optimize import least_squares
+
     c = constants()
     target = math.cos(2.0 * c.phi_star)
 
@@ -366,17 +360,23 @@ def search_planar_closure(k: int, eps: float) -> list:
     if eps <= 0:
         raise ValueError("eps must be positive")
     if k > 25:
-        raise ValueError("k > 25 exceeds the 2^k enumeration budget")
+        raise ValueError("k > 25 exceeds the 2^k output budget")
     if k < 1:
         raise ValueError("k must be positive")
     two_phi = 2.0 * constants().phi_star
     found = []
-    for signs in product((-1, 1), repeat=k):
-        total = sum(signs) * two_phi
+    # sum(sigma) = k - 2q for q minus signs, so a whole count class closes or
+    # none of it does; sorting restores the product((-1, 1), repeat=k) order.
+    for q in range(k + 1):
+        total = (k - 2 * q) * two_phi
         dist = abs(total - 2.0 * math.pi * round(total / (2.0 * math.pi)))
         if dist < eps:
-            found.append(signs)
-    return found
+            for minus in combinations(range(k), q):
+                signs = [1] * k
+                for i in minus:
+                    signs[i] = -1
+                found.append(tuple(signs))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Complete/incomplete elliptic integrals, Jacobi elliptic functions, and the
 universal constants of the figure-eight elastica.
 
-Complete integrals are evaluated by the arithmetic-geometric-mean iteration,
-incomplete ones by adaptive Gauss-Kronrod quadrature on the defining
-integrands.  The two routes are independent enough to cross-check each other.
+`scipy.special` is the only backend: complete K/E are `ellipk`/`ellipe`, the
+incomplete integrals are Carlson's symmetric forms `elliprf`/`elliprd` on the
+principal amplitude, and am/sn/cn come from `ellipj`.  The incomplete and
+Jacobi functions accept arrays; a scalar in gives a float out.
+
+scipy's own incomplete F/E routines are not used: in scipy 1.17.1 they return
+wrong values (errors up to 0.15) at some exact `ellipj` amplitudes on the
+closed figure-eight grids, where Carlson's forms agree with mpmath to 1e-12.
+The tests pin two such amplitudes.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ellipe, ellipj, ellipk, elliprd, elliprf
 
 __all__ = [
     "EllipticConstants",
@@ -30,8 +36,6 @@ __all__ = [
     "constants",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
-
 
 def _check_m(m: float) -> float:
     m = float(m)
@@ -40,113 +44,64 @@ def _check_m(m: float) -> float:
     return m
 
 
+def _like(value: np.ndarray, arg) -> float | np.ndarray:
+    """`value` as a float when `arg` is a scalar, else as an array."""
+    return float(value) if np.ndim(arg) == 0 else value
+
+
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m) = F(pi/2, m)."""
-    m = _check_m(m)
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return float(ellipk(_check_m(m)))
 
 
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind, E(m) = E(pi/2, m)."""
-    m = _check_m(m)
-    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
-    csum = 0.5 * c * c  # 2^{n-1} c_n^2 terms, n = 0
-    pow2 = 1.0
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        csum += pow2 * c * c
-        pow2 *= 2.0
-    K = math.pi / (2.0 * a)
-    return K * (1.0 - csum)
+    return float(ellipe(_check_m(m)))
 
 
-def _F_principal(r: float, m: float) -> float:
-    # r in [-pi/2, pi/2]
-    if r == 0.0:
-        return 0.0
-    val, _ = quad(lambda t: 1.0 / math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, r, **_QUAD_OPTS)
-    return val
-
-
-def _E_principal(r: float, m: float) -> float:
-    if r == 0.0:
-        return 0.0
-    val, _ = quad(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, r, **_QUAD_OPTS)
-    return val
-
-
-def incomplete_F(x: float, m: float) -> float:
-    """Incomplete elliptic integral of the first kind on the defining integrand.
-
-    Uses the quasi-periodicity F(x + pi, m) = F(x, m) + 2K(m) to reduce the
-    amplitude to [-pi/2, pi/2] before quadrature.
-    """
-    m = _check_m(m)
-    x = float(x)
-    k = math.floor(x / math.pi + 0.5)
+def _reduce(x, m: float):
+    """Split x = k pi + r with r in [-pi/2, pi/2]; return k, sin r and the
+    Carlson arguments cos^2 r, 1 - m sin^2 r.  Products, not powers, keep
+    array and scalar calls bit-identical."""
+    x = np.asarray(x, dtype=float)
+    k = np.floor(x / math.pi + 0.5)
     r = x - k * math.pi
-    base = 2.0 * k * complete_K(m) if k else 0.0
-    return base + _F_principal(r, m)
+    s, c = np.sin(r), np.cos(r)
+    return k, s, c * c, 1.0 - m * s * s
 
 
-def incomplete_E(x: float, m: float) -> float:
-    """Incomplete elliptic integral of the second kind; E(x+pi,m) = E(x,m) + 2E(m)."""
+def incomplete_F(x: float | np.ndarray, m: float) -> float | np.ndarray:
+    """Incomplete elliptic integral of the first kind, Carlson's form
+    F(r, m) = sin r R_F(cos^2 r, 1 - m sin^2 r, 1) on the principal amplitude
+    r, extended by F(x + pi, m) = F(x, m) + 2K(m)."""
     m = _check_m(m)
-    x = float(x)
-    k = math.floor(x / math.pi + 0.5)
-    r = x - k * math.pi
-    base = 2.0 * k * complete_E(m) if k else 0.0
-    return base + _E_principal(r, m)
+    k, s, c2, d2 = _reduce(x, m)
+    return _like(2.0 * k * complete_K(m) + s * elliprf(c2, d2, 1.0), x)
 
 
-def amplitude(u: float, m: float) -> float:
-    """Jacobi amplitude, the inverse of F(., m).
-
-    Newton iteration on F(x, m) = u seeded by the linear estimate
-    u * pi / (2K); F' >= 1 keeps the steps stable.  Falls back to bisection
-    if Newton stalls.
-    """
+def incomplete_E(x: float | np.ndarray, m: float) -> float | np.ndarray:
+    """Incomplete elliptic integral of the second kind, Carlson's form
+    E(r, m) = sin r R_F - (m/3) sin^3 r R_D on the principal amplitude r,
+    extended by E(x + pi, m) = E(x, m) + 2E(m)."""
     m = _check_m(m)
-    u = float(u)
-    K = complete_K(m)
-    # reduce to v in [-K, K), am(u) = k*pi + am(v)
-    k = math.floor((u + K) / (2.0 * K))
-    v = u - 2.0 * k * K
-    phi = v * math.pi / (2.0 * K)
-    phi = max(-math.pi / 2, min(math.pi / 2, phi))
-    lo, hi = -math.pi / 2, math.pi / 2
-    for _ in range(60):
-        f = _F_principal(phi, m) - v
-        if abs(f) < 1e-14 * max(1.0, abs(v)):
-            break
-        if f > 0:
-            hi = phi
-        else:
-            lo = phi
-        step = -f * math.sqrt(max(0.0, 1.0 - m * math.sin(phi) ** 2))
-        cand = phi + step
-        if lo < cand < hi:
-            phi = cand
-        else:
-            phi = 0.5 * (lo + hi)
-    return k * math.pi + phi
+    k, s, c2, d2 = _reduce(x, m)
+    principal = s * elliprf(c2, d2, 1.0) - (m / 3.0) * s * s * s * elliprd(c2, d2, 1.0)
+    return _like(2.0 * k * complete_E(m) + principal, x)
 
 
-def cn(u: float, m: float) -> float:
+def amplitude(u: float | np.ndarray, m: float) -> float | np.ndarray:
+    """Jacobi amplitude am(u, m), the inverse of F(., m)."""
+    return _like(ellipj(u, _check_m(m))[3], u)
+
+
+def cn(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi cn(u, m) = cos(am(u, m))."""
-    return math.cos(amplitude(u, m))
+    return _like(ellipj(u, _check_m(m))[1], u)
 
 
-def sn(u: float, m: float) -> float:
+def sn(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi sn(u, m) = sin(am(u, m))."""
-    return math.sin(amplitude(u, m))
+    return _like(ellipj(u, _check_m(m))[0], u)
 
 
 def dK_dm(m: float) -> float:
@@ -229,7 +184,3 @@ def constants() -> EllipticConstants:
     """Cached EllipticConstants bundle (immutable, safe to share)."""
     return solve_m_star()
 
-
-def amplitude_array(u: np.ndarray, m: float) -> np.ndarray:
-    """Vectorized Jacobi amplitude."""
-    return np.array([amplitude(float(x), m) for x in np.ravel(u)]).reshape(np.shape(u))

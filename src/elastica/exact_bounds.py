@@ -9,13 +9,10 @@ burden that 0.75 < m* < 0.85.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import elliptic
-
-__all__ = ["coeff_A", "partial_S", "tail_T", "SeriesBracket", "verify_bracket", "BracketReport"]
+__all__ = ["coeff_A", "partial_S", "tail_T", "SeriesBracket", "bracket"]
 
 
 def coeff_A(n: int) -> Fraction:
@@ -66,45 +63,3 @@ class SeriesBracket:
 def bracket(N: int, m: Fraction) -> SeriesBracket:
     m = _check_rational_m(m)
     return SeriesBracket(N=N, m=m, lower_S=partial_S(N, m), upper_T=tail_T(N, m))
-
-
-@dataclass
-class BracketReport:
-    """Outcome of the exact bracket verification."""
-
-    checks: list = field(default_factory=list)  # (name, passed, detail)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str) -> None:
-        self.checks.append((name, bool(ok), detail))
-
-
-def _float_series_value(m: float) -> float:
-    return (2.0 / math.pi) * (elliptic.complete_K(m) - 2.0 * elliptic.complete_E(m)) + 1.0
-
-
-def verify_bracket() -> BracketReport:
-    """Exact-integer verification that T_10(3/4) < 1 < S_7(17/20).
-
-    Also sandwiches the floating-point elliptic backend inside the exact
-    brackets at both endpoints (tolerance absorbs the float error only; the
-    exact comparisons involve no rounding at all).
-    """
-    report = BracketReport()
-    t10 = tail_T(10, Fraction(3, 4))
-    s7 = partial_S(7, Fraction(17, 20))
-    report.add("T_10(3/4) < 1", t10 < 1, f"T_10(3/4) = {t10}")
-    report.add("S_7(17/20) > 1", s7 > 1, f"S_7(17/20) = {s7}")
-    for mq, N in ((Fraction(3, 4), 10), (Fraction(17, 20), 7)):
-        br = bracket(N, mq)
-        fval = _float_series_value(float(mq))
-        ok = float(br.lower_S) <= fval + 1e-10 and fval <= float(br.upper_T) + 1e-10
-        report.add(
-            f"float sandwich at m={mq}, N={N}",
-            ok,
-            f"S={float(br.lower_S):.15g} <= {fval:.15g} <= T={float(br.upper_T):.15g}",
-        )
-    return report

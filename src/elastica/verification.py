@@ -62,6 +62,13 @@ def criterion_exact_bounds() -> CriterionResult:
     t10 = exact_bounds.tail_T(10, Fraction(3, 4))
     s7 = exact_bounds.partial_S(7, Fraction(17, 20))
     checks = [t10 == _T10_AT_3_4, s7 == _S7_AT_17_20, t10 < 1, s7 > 1]
+    # The float backend must sit inside the exact brackets; the tolerance
+    # absorbs float error only, the exact comparisons above involve no rounding.
+    for mq, N in ((Fraction(3, 4), 10), (Fraction(17, 20), 7)):
+        br = exact_bounds.bracket(N, mq)
+        m = float(mq)
+        fval = (2.0 / math.pi) * (elliptic.complete_K(m) - 2.0 * elliptic.complete_E(m)) + 1.0
+        checks.append(float(br.lower_S) <= fval + 1e-10 and fval <= float(br.upper_T) + 1e-10)
     detail = f"T_10(3/4)={t10} < 1 < S_7(17/20)={s7}"
     return _result("exact-bounds", checks, detail)
 

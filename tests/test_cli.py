@@ -4,9 +4,14 @@ Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import elastica
 from elastica.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, dispatch
 
 
@@ -44,6 +49,7 @@ def test_generate_randomized_requires_seed(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert dispatch(["no-such-command"]) == EXIT_USAGE
     assert dispatch([]) == EXIT_USAGE
+    assert dispatch(["--threads", "1", "constants"]) == EXIT_USAGE
 
 
 def test_energy_report(tmp_path, capsys):
@@ -110,3 +116,16 @@ def test_verify_single_criterion(capsys):
 def test_domain_error_maps_to_usage_exit(tmp_path, capsys):
     assert dispatch(["network", "wavelike", "--m", "0.95",
                      "--out", str(tmp_path / "n.json")]) == EXIT_USAGE
+
+
+def test_cli_import_leaves_integrate_and_optimize_unloaded():
+    """[TRIVIAL] `import elastica.cli` loads neither scipy.integrate nor
+    scipy.optimize, which dominate cold start."""
+    src = str(Path(elastica.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, elastica.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.integrate', 'scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ embeddedness.
 Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_closure_search_empty_for_odd_k(k):
 def test_closure_search_nonempty_at_huge_eps():
     """[TRIVIAL] search machinery does return sequences when eps is enormous."""
     assert len(curves.search_planar_closure(3, 1e3)) > 0
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.5, 1e3])
+def test_closure_search_matches_brute_force(eps):
+    """[DERIVED] the count-class search equals the 2^k enumeration, in order."""
+    two_phi = 2.0 * constants().phi_star
+    for k in range(1, 13):
+        want = []
+        for signs in itertools.product((-1, 1), repeat=k):
+            total = sum(signs) * two_phi
+            if abs(total - 2.0 * math.pi * round(total / (2.0 * math.pi))) < eps:
+                want.append(signs)
+        assert curves.search_planar_closure(k, eps) == want
 
 
 def test_circle_geometry():

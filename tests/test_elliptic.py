@@ -7,11 +7,12 @@ differences); [PAPER] = fixed reference value; [TRIVIAL] = direct identity.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elastica import elliptic
+from elastica import curves, elliptic
 
 mpmath.mp.dps = 30
 
@@ -140,3 +141,66 @@ def test_amplitude_rejects_bad_parameter():
         elliptic.complete_K(1.0)
     with pytest.raises(ValueError):
         elliptic.amplitude(1.0, -0.1)
+
+
+# Exact ellipj amplitudes on the closed figure-eight grids where scipy 1.17.1's
+# ellipeinc/ellipkinc are off by up to 0.07/0.15; nearby phases are fine.
+_M_STAR = 0.8261147659849704
+_HAZARD_PHASES = [-1.4168263760496582, -1.246391981538908]
+
+
+@pytest.mark.parametrize("phi", _HAZARD_PHASES)
+def test_incomplete_at_hazard_phases(phi):
+    """[DERIVED] incomplete F/E vs mpmath at the pinned hazard amplitudes."""
+    assert elliptic.incomplete_F(phi, _M_STAR) == pytest.approx(
+        float(mpmath.ellipf(phi, _M_STAR)), rel=0, abs=1e-12)
+    assert elliptic.incomplete_E(phi, _M_STAR) == pytest.approx(
+        float(mpmath.ellipe(phi, _M_STAR)), rel=0, abs=1e-12)
+
+
+def _mp_elastica_point(u, m):
+    """(u - 2E(am u), 2 sqrt(m) cn u) in mpmath, with am u = k pi + am(v) for
+    the reduced v = u - 2kK in [-K, K]."""
+    u, m = mpmath.mpf(u), mpmath.mpf(m)
+    K = mpmath.ellipk(m)
+    k = mpmath.nint(u / (2 * K))
+    v = u - 2 * k * K
+    sn, cn = mpmath.ellipfun("sn", v, m=m), mpmath.ellipfun("cn", v, m=m)
+    am = k * mpmath.pi + mpmath.atan2(sn, cn)
+    return (float(u - 2 * mpmath.ellipe(am, m)),
+            float(2 * mpmath.sqrt(m) * mpmath.cos(am)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_figure_eight_grid_against_mpmath(N):
+    """[DERIVED] every sample of sample_figure_eight(N, 512), the grid the tests
+    and criteria use, vs the mpmath closed form at u = s - K*."""
+    c = elliptic.constants()
+    curve = curves.sample_figure_eight(N, 512)
+    s = np.linspace(0.0, 2.0 * N * c.K_star, 512, endpoint=not curve.closed)
+    with mpmath.workdps(20):
+        want = np.array([_mp_elastica_point(x - c.K_star, c.m_star) for x in s])
+    np.testing.assert_allclose(curve.points, want, rtol=0, atol=1e-12)
+
+
+def test_wavelike_grid_against_mpmath():
+    """[DERIVED] sample_wavelike(0.6, -K, K, 100) vs the mpmath closed form,
+    reflected: the wavelike point at s is -(the elastica point at s)."""
+    m = 0.6
+    K = elliptic.complete_K(m)
+    curve = curves.sample_wavelike(m, -K, K, 100)
+    with mpmath.workdps(20):
+        want = -np.array([_mp_elastica_point(s, m) for s in np.linspace(-K, K, 100)])
+    np.testing.assert_allclose(curve.points, want, rtol=0, atol=1e-12)
+
+
+def test_array_calls_match_scalar_calls():
+    """[TRIVIAL] array calls equal the scalar calls elementwise, bit for bit."""
+    c = elliptic.constants()
+    u = np.linspace(0.0, 8.0 * c.K_star, 512, endpoint=False) - c.K_star
+    am = elliptic.amplitude(u, c.m_star)
+    assert am.tolist() == [elliptic.amplitude(x, c.m_star) for x in u]
+    e = elliptic.incomplete_E(am, c.m_star)
+    assert e.tolist() == [elliptic.incomplete_E(x, c.m_star) for x in am]
+    assert isinstance(elliptic.amplitude(0.3, c.m_star), float)
+    assert isinstance(elliptic.incomplete_E(0.3, c.m_star), float)

@@ -60,11 +60,27 @@ def test_bracket_exact_comparison():
     assert exact_bounds.partial_S(7, Fraction(17, 20)) > 1
 
 
+def _shift(fn, delta, at=None):
+    return lambda *args: fn(*args) + (delta if at in (None, args[0]) else 0)
+
+
 def test_verify_bracket_report():
-    """[TRIVIAL] the bundled report passes and carries all four checks."""
-    report = exact_bounds.verify_bracket()
-    assert report.passed
-    assert len(report.checks) == 4
+    """[TRIVIAL] the exact-bounds criterion passes and covers all four checks:
+    breaking any one of them alone fails it."""
+    from elastica import elliptic, verification
+    assert verification.run_criterion("exact-bounds").passed
+    breaks = [
+        (exact_bounds, "tail_T", 1, None),              # T_10(3/4) < 1
+        (exact_bounds, "partial_S", -1, None),          # S_7(17/20) > 1
+        # the float value (2/pi)(K - 2E) + 1 rises by 0.5 at 3/4, above T_10,
+        # or drops by 0.1 at 17/20, below S_7
+        (elliptic, "complete_K", 0.25 * math.pi, 0.75),
+        (elliptic, "complete_K", -0.05 * math.pi, 0.85),
+    ]
+    for owner, name, delta, at in breaks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(owner, name, _shift(getattr(owner, name), delta, at))
+            assert not verification.run_criterion("exact-bounds").passed, name
 
 
 def test_bracket_locates_m_star():
