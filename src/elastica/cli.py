@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: constants, generate, energy, flow, network, closure-search,
-verify.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+verify.  Exit codes: 0 success, 1 verification failure, 2 usage error
+(including rejected input), 3 numerical failure (a flow step that still
+raised the energy after 20 halvings of dt).
 Every output file gets a RunManifest JSON written beside it; all numeric
 output is deterministic given identical flags (randomized generators take a
 mandatory --seed).
@@ -29,6 +31,7 @@ from .verification import CRITERION_NAMES, run_all, run_criterion
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_NUMERICAL = 3
 
 
 def constants_checksum() -> str:
@@ -76,7 +79,7 @@ def _save_curve(curve, path, generator, parameters) -> None:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------- commands
@@ -152,7 +155,11 @@ def cmd_flow(args) -> int:
     def observer(time, en, length, roundness, embedded):
         rows.append((time, en, length, roundness, int(embedded)))
 
-    rep = flow.run(curve, args.mode, target, config, observer=observer)
+    try:
+        rep = flow.run(curve, args.mode, target, config, observer=observer)
+    except flow.FlowStepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     header = "time,energy,length,roundness,embedded"
     body = "\n".join(",".join(format_float(v) if i < 4 else str(v)
                               for i, v in enumerate(row)) for row in rows)

@@ -54,6 +54,12 @@ class DiscreteCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
             raise ValueError("need at least 3 points in R^n, n >= 2")
+        if not np.isfinite(pts).all():
+            raise ValueError("non-finite coordinates")
+        if self.vertex_marks is not None and not all(
+                isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                and 0 <= m < pts.shape[0] for m in self.vertex_marks):
+            raise ValueError(f"vertex_marks must be integers in [0, {pts.shape[0]})")
         edges = np.diff(pts, axis=0)
         if self.closed:
             edges = np.vstack([edges, pts[0] - pts[-1]])
@@ -422,15 +428,12 @@ def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
     inside = d <= eps
     if not inside.any():
         return 0
-    count = 0
-    escaped = True  # has the curve left the 2 eps ball since the last cluster
-    for di in d:
-        if di <= eps:
-            if escaped:
-                count += 1
-                escaped = False
-        elif di > 2.0 * eps:
-            escaped = True
+    # +1 inside the eps ball, -1 escaped beyond 2 eps, 0 neutral; a cluster
+    # starts at an inside sample whose last non-neutral predecessor escaped
+    label = np.where(inside, 1, np.where(d > 2.0 * eps, -1, 0))
+    marked = label[label != 0]
+    count = int(np.count_nonzero((marked == 1)
+                                 & (np.concatenate(([-1], marked[:-1])) == -1)))
     if curve.closed and count > 1:
         # merge the first and last clusters if the curve never leaves the
         # 2 eps ball across the seam between them
@@ -495,23 +498,33 @@ def _segment_distance(p1, p2, q1, q2) -> float:
     return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
 
 
-def _candidate_pairs(starts: np.ndarray, ends: np.ndarray, n_segs: int, closed: bool):
-    lo = np.minimum(starts, ends)
-    hi = np.maximum(starts, ends)
-    for i in range(n_segs):
-        # vectorized bounding-box prefilter against all later non-adjacent segments
-        j0 = i + 2
-        if j0 >= n_segs:
-            continue
-        jmax = n_segs
-        js = np.arange(j0, jmax)
-        if closed and i == 0:
-            js = js[js != n_segs - 1]
-        if len(js) == 0:
-            continue
-        overlap = np.all((lo[js] <= hi[i]) & (hi[js] >= lo[i]), axis=1)
-        for j in js[overlap]:
-            yield i, int(j)
+def _candidate_pairs(lo: np.ndarray, hi: np.ndarray, closed: bool) -> np.ndarray:
+    """Non-adjacent segment pairs (i, j), i < j, whose boxes [lo, hi] overlap,
+    as a (m, 2) array in lexicographic order.
+
+    Sorted sweep: with the segments ordered by lowest x, offset k compares
+    each segment with its k-th successor, and the sweep stops at the first
+    offset where no successor starts before its segment ends."""
+    n = lo.shape[0]
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = np.ascontiguousarray(lo[order].T), np.ascontiguousarray(hi[order].T)
+    # reach[p]: how many sorted successors of p start before p ends in x
+    reach = np.searchsorted(lo[0], hi[0], side="right") - 1 - np.arange(n)
+    live = np.flatnonzero(reach > 0)
+    first, second = [live[:0]], [live[:0]]
+    for k in range(1, int(reach.max()) + 1):
+        live = live[reach[live] >= k]
+        ahead = live + k
+        hit = np.ones(live.size, dtype=bool)
+        for c in range(1, lo.shape[0]):
+            hit &= (lo[c, ahead] <= hi[c, live]) & (hi[c, ahead] >= lo[c, live])
+        first.append(order[live[hit]])
+        second.append(order[ahead[hit]])
+    a, b = np.concatenate(first), np.concatenate(second)
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keep = (j - i >= 2) & ~(closed & (i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    return np.column_stack([i, j])[np.lexsort((j, i))]
 
 
 def is_embedded(curve: DiscreteCurve, eps: float = 0.0) -> bool:
@@ -521,38 +534,14 @@ def is_embedded(curve: DiscreteCurve, eps: float = 0.0) -> bool:
     snapped to a 2^-40 grid; higher dimensions test segment-segment distance
     against eps (default: 1e-9 x length)."""
     pts = curve.points
-    n_pts = curve.n_points
-    if curve.closed:
-        starts = pts
-        ends = np.roll(pts, -1, axis=0)
-        n_segs = n_pts
-    else:
-        starts = pts[:-1]
-        ends = pts[1:]
-        n_segs = n_pts - 1
+    starts = pts if curve.closed else pts[:-1]
+    ends = np.roll(pts, -1, axis=0) if curve.closed else pts[1:]
+    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
     if curve.dimension == 2:
-        snapped_start = _snap(np.vstack([starts, ends]))
-        s_list = snapped_start[:n_segs]
-        e_list = snapped_start[n_segs:]
-        for i, j in _candidate_pairs(starts, ends, n_segs, curve.closed):
-            if _segments_intersect_2d(s_list[i], e_list[i], s_list[j], e_list[j]):
-                return False
-        return True
+        snapped = _snap(np.vstack([starts, ends]))
+        s, e = snapped[:len(starts)], snapped[len(starts):]
+        return not any(_segments_intersect_2d(s[i], e[i], s[j], e[j])
+                       for i, j in _candidate_pairs(lo, hi, curve.closed))
     tol = eps if eps > 0 else 1e-9 * curve.length()
-    pad = tol
-    lo = np.minimum(starts, ends) - pad
-    hi = np.maximum(starts, ends) + pad
-    for i in range(n_segs):
-        j0 = i + 2
-        if j0 >= n_segs:
-            continue
-        js = np.arange(j0, n_segs)
-        if curve.closed and i == 0:
-            js = js[js != n_segs - 1]
-        if len(js) == 0:
-            continue
-        overlap = np.all((lo[js] <= hi[i]) & (hi[js] >= lo[i]), axis=1)
-        for j in js[overlap]:
-            if _segment_distance(starts[i], ends[i], starts[j], ends[j]) < tol:
-                return False
-    return True
+    return not any(_segment_distance(starts[i], ends[i], starts[j], ends[j]) < tol
+                   for i, j in _candidate_pairs(lo - tol, hi + tol, curve.closed))

@@ -13,7 +13,8 @@ Time stepping treats the stiff fourth-order leading term implicitly through
 a circulant (FFT) solve on a uniform-arclength grid, and the lower-order
 terms explicitly; a step that increases the energy beyond slack is retried
 with a halved dt.  Nodes are redistributed to uniform arclength by periodic
-interpolation.
+interpolation.  Each curve gets one geometry pass (one `curvature_vectors`
+call), which the next step and the monitoring reuse through `FlowState`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from typing import Optional
 import numpy as np
 
 from .curves import DiscreteCurve, is_embedded
-from .energy import bending_energy, curvature_vectors, length
+from .energy import curvature_vectors
 
 __all__ = [
     "FlowConfig",
     "FlowState",
     "FlowReport",
+    "FlowStepError",
     "normal_laplacian_kappa",
     "velocity_field",
     "lambda_fixed_length",
@@ -62,6 +64,8 @@ class FlowState:
     lam: float = 0.0
     mode: str = "fixed-lambda"       # or "fixed-length"
     target_length: float = 0.0
+    _geom: Optional[_Geometry] = field(default=None, init=False, repr=False,
+                                       compare=False)  # `replace` resets it
 
     def __post_init__(self):
         if not self.curve.closed:
@@ -74,6 +78,12 @@ class FlowState:
                 object.__setattr__(self, "target_length", L)
             elif abs(L - self.target_length) / self.target_length > 1e-6:
                 raise ValueError("curve length drifted from target_length")
+
+
+def _geometry_of(state: FlowState) -> _Geometry:
+    if state._geom is None:
+        object.__setattr__(state, "_geom", _geometry(state.curve))
+    return state._geom
 
 
 @dataclass
@@ -90,37 +100,64 @@ class FlowReport:
         return all(ok for _, ok in self.embedded_trace)
 
 
-def _tangents(curve: DiscreteCurve) -> np.ndarray:
-    pts = curve.points
-    chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    return chords / np.linalg.norm(chords, axis=1)[:, None]
+class FlowStepError(RuntimeError):
+    """The energy still increased after 20 halvings of dt."""
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """Everything the flow reads off one curve, from one curvature pass."""
+
+    kappa: np.ndarray
+    w: np.ndarray       # half-edge node weights
+    k2: np.ndarray      # |kappa|^2 per node
+    lap: np.ndarray     # lap_n kappa
+    B: float
+    L: float
+
+    def velocity(self, lam: float) -> np.ndarray:
+        return -self.lap - 0.5 * self.k2[:, None] * self.kappa + lam * self.kappa
+
+    def lambda_fixed_length(self) -> float:
+        if self.B < 1e-14:
+            raise ValueError("zero curvature: fixed-length multiplier undefined")
+        lap_k = np.einsum("ij,ij->i", self.lap, self.kappa)
+        return float(np.sum((lap_k + 0.5 * self.k2 * self.k2) * self.w)) / self.B
+
+    def energy(self, lam: float, mode: str) -> float:
+        if mode == "fixed-lambda":
+            return 0.5 * self.B + lam * self.L
+        return self.B
 
 
 def _cyclic_normal_derivative(field_vals: np.ndarray, h: np.ndarray,
                               T: np.ndarray) -> np.ndarray:
-    h_prev = np.roll(h, 1)
     d = (np.roll(field_vals, -1, axis=0) - np.roll(field_vals, 1, axis=0)) \
-        / (h + h_prev)[:, None]
+        / (h + np.roll(h, 1))[:, None]
     return d - np.einsum("ij,ij->i", d, T)[:, None] * T
+
+
+def _geometry(curve: DiscreteCurve) -> _Geometry:
+    kappa, w, _ = curvature_vectors(curve)
+    h = curve.edge_lengths()
+    chords = np.roll(curve.points, -1, axis=0) - np.roll(curve.points, 1, axis=0)
+    T = chords / np.linalg.norm(chords, axis=1)[:, None]
+    lap = _cyclic_normal_derivative(_cyclic_normal_derivative(kappa, h, T), h, T)
+    k2 = np.einsum("ij,ij->i", kappa, kappa)
+    return _Geometry(kappa=kappa, w=w, k2=k2, lap=lap,
+                     B=float(np.sum(k2 * w)), L=float(h.sum()))
 
 
 def normal_laplacian_kappa(curve: DiscreteCurve) -> np.ndarray:
     """Discrete normal second derivative of the curvature vector: the
     arclength derivative is taken twice, projecting onto the normal space
     after each stage."""
-    kappa, _, _ = curvature_vectors(curve)
-    h = curve.edge_lengths()
-    T = _tangents(curve)
-    grad1 = _cyclic_normal_derivative(kappa, h, T)
-    return _cyclic_normal_derivative(grad1, h, T)
+    return _geometry(curve).lap
 
 
 def velocity_field(curve: DiscreteCurve, lam: float) -> np.ndarray:
     """-lap_n kappa - (1/2)|kappa|^2 kappa + lambda kappa at every node."""
-    kappa, _, _ = curvature_vectors(curve)
-    lap = normal_laplacian_kappa(curve)
-    k2 = np.einsum("ij,ij->i", kappa, kappa)[:, None]
-    return -lap - 0.5 * k2 * kappa + lam * kappa
+    return _geometry(curve).velocity(lam)
 
 
 def lambda_fixed_length(curve: DiscreteCurve) -> float:
@@ -128,14 +165,7 @@ def lambda_fixed_length(curve: DiscreteCurve) -> float:
     to first order: <lap_n kappa + (1/2)|kappa|^2 kappa, kappa> / <kappa, kappa>.
 
     On a circle of radius r this evaluates to 1/(2 r^2)."""
-    kappa, w, _ = curvature_vectors(curve)
-    k2 = np.einsum("ij,ij->i", kappa, kappa)
-    denom = float(np.sum(k2 * w))
-    if denom < 1e-14:
-        raise ValueError("zero curvature: fixed-length multiplier undefined")
-    lap = normal_laplacian_kappa(curve)
-    num = float(np.sum((np.einsum("ij,ij->i", lap, kappa) + 0.5 * k2 * k2) * w))
-    return num / denom
+    return _geometry(curve).lambda_fixed_length()
 
 
 def _resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
@@ -150,12 +180,6 @@ def _resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
     spline = CubicSpline(s, pts_ext, bc_type="periodic", axis=0)
     s_new = np.linspace(0.0, L, n, endpoint=False)
     return DiscreteCurve(spline(s_new), closed=True)
-
-
-def _flow_energy(curve: DiscreteCurve, lam: float, mode: str) -> float:
-    if mode == "fixed-lambda":
-        return 0.5 * bending_energy(curve) + lam * length(curve)
-    return bending_energy(curve)
 
 
 def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
@@ -173,11 +197,8 @@ def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
     d4 = _fourth_difference(pts, h)
     d2 = _second_difference(pts, h)
     rhs = pts + dt * (vel + d4 - sigma * d2)
-    out = np.empty_like(pts)
     denom = 1.0 + dt * sym
-    for d in range(pts.shape[1]):
-        out[:, d] = np.fft.irfft(np.fft.rfft(rhs[:, d]) / denom, n=n)
-    return out
+    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / denom[:, None], n=n, axis=0)
 
 
 def _fourth_difference(pts: np.ndarray, h: float) -> np.ndarray:
@@ -191,16 +212,18 @@ def _second_difference(pts: np.ndarray, h: float) -> np.ndarray:
 
 def step(state: FlowState, config: FlowConfig, remesh: bool = True) -> FlowState:
     """Advance one accepted time step (dt halved on energy increase beyond
-    slack; abort after 20 halvings)."""
+    slack; FlowStepError after 20 halvings)."""
     curve = state.curve
     n = curve.n_points
-    lam = state.lam if state.mode == "fixed-lambda" else lambda_fixed_length(curve)
-    e0 = _flow_energy(curve, lam, state.mode)
-    dt = min(config.dt, _dt_cap(curve))
-    vel = velocity_field(curve, lam)
-    kappa, _, _ = curvature_vectors(curve)
-    sigma = 2.0 * float(np.einsum("ij,ij->i", kappa, kappa).max()) + abs(lam)
-    h = curve.length() / n
+    geom = _geometry_of(state)
+    lam = state.lam if state.mode == "fixed-lambda" else geom.lambda_fixed_length()
+    e0 = geom.energy(lam, state.mode)
+    h = geom.L / n
+    # with the implicit second-order shift only mild accuracy caps remain;
+    # keep a coarse-mesh guard proportional to h
+    dt = min(config.dt, 0.25 * h)
+    vel = geom.velocity(lam)
+    sigma = 2.0 * float(geom.k2.max()) + abs(lam)
     for _ in range(21):
         pts = _implicit_step(curve.points, vel, h, dt, sigma)
         new_curve = DiscreteCurve(pts, closed=True)
@@ -211,18 +234,13 @@ def step(state: FlowState, config: FlowConfig, remesh: bool = True) -> FlowState
             centroid = new_curve.points.mean(axis=0)
             new_curve = DiscreteCurve(centroid + sc * (new_curve.points - centroid),
                                       closed=True)
-        e1 = _flow_energy(new_curve, lam, state.mode)
-        if e1 <= e0 + config.energy_slack * max(1.0, abs(e0)):
-            return replace(state, curve=new_curve, time=state.time + dt, lam=lam)
+        new_geom = _geometry(new_curve)
+        if new_geom.energy(lam, state.mode) <= e0 + config.energy_slack * max(1.0, abs(e0)):
+            new_state = replace(state, curve=new_curve, time=state.time + dt, lam=lam)
+            object.__setattr__(new_state, "_geom", new_geom)
+            return new_state
         dt *= 0.5
-    raise RuntimeError("step failure: energy increased after 20 dt halvings")
-
-
-def _dt_cap(curve: DiscreteCurve) -> float:
-    # with the implicit second-order shift only mild accuracy caps remain;
-    # keep a coarse-mesh guard proportional to h
-    h = curve.length() / curve.n_points
-    return 0.25 * h
+    raise FlowStepError("step failure: energy increased after 20 dt halvings")
 
 
 def _roundness(curve: DiscreteCurve) -> tuple:
@@ -253,15 +271,16 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
     report = FlowReport()
 
     def _observe(st, lam):
-        en = _flow_energy(st.curve, lam, mode)
+        geom = _geometry_of(st)
+        en = geom.energy(lam, mode)
         emb = is_embedded(st.curve, config.embed_eps)
         report.energy_trace.append((st.time, en))
         report.embedded_trace.append((st.time, emb))
         if observer is not None:
             rnd, _ = _roundness(st.curve)
-            observer(st.time, en, st.curve.length(), rnd, emb)
+            observer(st.time, en, geom.L, rnd, emb)
 
-    lam0 = state.lam if mode == "fixed-lambda" else lambda_fixed_length(state.curve)
+    lam0 = state.lam if mode == "fixed-lambda" else _geometry_of(state).lambda_fixed_length()
     _observe(state, lam0)
     converged = False
     for i in range(config.max_steps):
@@ -270,7 +289,7 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
         if (i + 1) % config.embed_check_every == 0:
             _observe(state, lam)
         if (i + 1) % 10 == 0 or i == config.max_steps - 1:
-            vmax = float(np.linalg.norm(velocity_field(state.curve, lam), axis=1).max())
+            vmax = float(np.linalg.norm(_geometry_of(state).velocity(lam), axis=1).max())
             if vmax < config.tol_velocity:
                 converged = True
                 break

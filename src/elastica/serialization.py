@@ -82,7 +82,7 @@ def _curve_from_block(block) -> DiscreteCurve:
 
 
 def _dump(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def curve_to_json(curve: DiscreteCurve, path, generator: Optional[str] = None,

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import elastica
-from elastica.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, dispatch
+from elastica import curves, flow, serialization
+from elastica.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, dispatch
 
 
 def test_constants_json(capsys):
@@ -129,3 +130,49 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_non_finite_csv_is_rejected(tmp_path, capsys):
+    """[TRIVIAL] a CSV with nan exits 2 with one line and prints no JSON."""
+    src = tmp_path / "nan.csv"
+    src.write_text("2,1\n0,0\n1,0\nnan,1\n0,1\n")
+    assert dispatch(["energy", "--in", str(src)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "error: non-finite coordinates"
+
+
+def test_out_of_range_vertex_mark_is_rejected(tmp_path, capsys):
+    """[TRIVIAL] a curve JSON marking vertex 10**6 exits 2, no IndexError."""
+    src = tmp_path / "fe.json"
+    assert dispatch(["generate", "figure-eight", "--n", "128",
+                     "--out", str(src)]) == EXIT_OK
+    doc = json.loads(src.read_text())
+    doc["vertex_marks"] = [10 ** 6]
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["energy", "--in", str(src), "--k", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "vertex_marks" in err
+
+
+def test_flow_step_failure_exit_code(tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] a flow step that cannot lower the energy exits 3."""
+    src = tmp_path / "c.csv"
+    dispatch(["generate", "circle", "--n", "64", "--out", str(src)])
+    capsys.readouterr()
+    # every trial triples the curve, which raises 1/2 B + L at lambda = 1
+    monkeypatch.setattr(flow, "_implicit_step", lambda pts, *args: 3.0 * pts)
+    assert dispatch(["flow", "--in", str(src), "--mode", "fixed-lambda",
+                     "--lambda", "1.0", "--steps", "10",
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.strip() == "error: step failure: energy increased after 20 dt halvings"
+
+
+def test_json_writers_refuse_nan(tmp_path):
+    """[TRIVIAL] JSON output never carries NaN."""
+    with pytest.raises(ValueError):
+        serialization.curve_to_json(curves.circle(2, 1.0, 16),
+                                    tmp_path / "c.json", generator="circle",
+                                    parameters={"radius": float("nan")})

@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastica import curves
 from elastica.elliptic import complete_E, complete_K, constants, incomplete_E
+from elastica.random_shapes import perturbed_circle
 
 
 def test_discrete_curve_validation():
@@ -203,3 +206,121 @@ def test_leafed_spec_validation():
     assert spec.k == 3
     with pytest.raises(ValueError):
         curves.LeafedElasticaSpec(k=4, closed=True, tangents=tup.omegas)
+
+
+def test_discrete_curve_rejects_non_finite_coordinates():
+    """[TRIVIAL] NaN or inf coordinates are rejected where they enter."""
+    pts = curves.circle(2, 1.0, 16).points.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            curves.DiscreteCurve(pts, closed=True)
+
+
+@pytest.mark.parametrize("marks", [(16,), (-1,), (10 ** 6,), (1.0,), ("0",), (True,)])
+def test_discrete_curve_rejects_bad_vertex_marks(marks):
+    """[TRIVIAL] vertex marks must be integer indices into the points."""
+    pts = curves.circle(2, 1.0, 16).points
+    with pytest.raises(ValueError, match="vertex_marks"):
+        curves.DiscreteCurve(pts, closed=True, vertex_marks=marks)
+    assert curves.DiscreteCurve(pts, closed=True,
+                                vertex_marks=(0, np.int64(15))).vertex_marks[1] == 15
+
+
+def _brute_force_pairs(lo, hi, closed):
+    n = lo.shape[0]
+    return [(i, j) for i in range(n) for j in range(i + 2, n)
+            if not (closed and i == 0 and j == n - 1)
+            and np.all(lo[j] <= hi[i]) and np.all(hi[j] >= lo[i])]
+
+
+def _boxes(curve):
+    starts = curve.points if curve.closed else curve.points[:-1]
+    ends = np.roll(curve.points, -1, axis=0) if curve.closed else curve.points[1:]
+    return np.minimum(starts, ends), np.maximum(starts, ends)
+
+
+def _sweep_test_curves():
+    rng = np.random.default_rng(20240)
+    out = []
+    for dim in (2, 3):
+        for closed in (False, True):
+            for n in (3, 4, 7, 40, 150):
+                # random walks cross themselves; the boxes overlap often
+                pts = np.cumsum(rng.normal(size=(n, dim)), axis=0)
+                out.append(curves.DiscreteCurve(pts, closed=closed))
+    for k in (2, 3, 4):
+        out.append(curves.circle(2, 1.0, 60 * k, turns=k))   # coincident segments
+        out.append(curves.circle(3, 1.0, 60 * k, turns=k))
+    out.append(curves.sample_figure_eight(2, 256))
+    out.append(curves.sample_figure_eight(3, 256))
+    return out
+
+
+@pytest.mark.parametrize("curve", _sweep_test_curves())
+def test_candidate_pairs_match_brute_force(curve):
+    """[DERIVED] the sorted sweep yields exactly the O(n^2) enumeration's
+    non-adjacent box-overlap pairs, in the same order, padded or not."""
+    lo, hi = _boxes(curve)
+    for pad in (0.0, 0.05):
+        got = curves._candidate_pairs(lo - pad, hi + pad, curve.closed)
+        assert got.tolist() == [list(p) for p in
+                                _brute_force_pairs(lo - pad, hi + pad, curve.closed)]
+
+
+@given(shape=st.sampled_from(["perturbed-circle", "figure-eight"]),
+       seed=st.integers(0, 50),
+       scale=st.floats(1e-2, 1e2),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+def test_is_embedded_invariant_under_similarity(shape, seed, scale, angle, shift):
+    """[DERIVED] embeddedness does not change under scale, rotation and
+    translation."""
+    if shape == "perturbed-circle":
+        curve, want = perturbed_circle(seed, 256, 0.05), True
+    else:
+        curve, want = curves.sample_figure_eight(2, 256), False
+    rot = scale * np.array([[math.cos(angle), -math.sin(angle)],
+                            [math.sin(angle), math.cos(angle)]])
+    assert curves.is_embedded(curve) is want
+    assert curves.is_embedded(curve.transformed(rotation=rot,
+                                                translation=np.array(shift))) is want
+
+
+def _multiplicity_loop(curve, point, eps):
+    """The per-sample cluster count that `multiplicity` replaced."""
+    d = np.linalg.norm(curve.points - np.asarray(point, dtype=float), axis=1)
+    inside = d <= eps
+    if not inside.any():
+        return 0
+    count = 0
+    escaped = True
+    for di in d:
+        if di <= eps:
+            if escaped:
+                count += 1
+                escaped = False
+        elif di > 2.0 * eps:
+            escaped = True
+    if curve.closed and count > 1:
+        first = int(np.argmax(inside))
+        last = len(d) - 1 - int(np.argmax(inside[::-1]))
+        seam = np.concatenate([d[last + 1:], d[:first]])
+        if not (seam > 2.0 * eps).any():
+            count -= 1
+    return count
+
+
+@pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
+@pytest.mark.parametrize("name", ["figure-eight", "3-turn", "propeller"])
+@pytest.mark.parametrize("rel_eps", [1e-6, 1e-3, 1e-2, 5e-2])
+def test_multiplicity_matches_loop(name, rel_eps):
+    """[DERIVED] the vectorised cluster count equals the per-sample loop at
+    every candidate point that the Li-Yau margin search visits."""
+    curve = {"figure-eight": lambda: curves.sample_figure_eight(2, 2048),
+             "3-turn": lambda: curves.circle(2, 1.0, 1200, turns=3),
+             "propeller": lambda: curves.propeller_curve(256)}[name]()
+    eps = rel_eps * curve.length()
+    stride = max(1, curve.n_points // 256)
+    for p in curve.points[::stride]:
+        assert curves.multiplicity(curve, p, eps) == _multiplicity_loop(curve, p, eps)

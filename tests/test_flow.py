@@ -4,13 +4,14 @@ Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from elastica import curves, flow
 from elastica.elliptic import constants
-from elastica.energy import bending_energy, length
+from elastica.energy import bending_energy, curvature_vectors, length
 from elastica.random_shapes import perturbed_circle
 
 
@@ -124,3 +125,136 @@ def test_observer_receives_trace_rows():
              observer=lambda *row: rows.append(row))
     assert len(rows) >= 3
     assert all(len(r) == 5 for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# reference step: the step body before the geometry pass, built from the
+# public energy functions, one curvature evaluation per quantity
+
+def _ref_tangents(pts):
+    chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    return chords / np.linalg.norm(chords, axis=1)[:, None]
+
+
+def _ref_normal_derivative(vals, h, T):
+    d = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) \
+        / (h + np.roll(h, 1))[:, None]
+    return d - np.einsum("ij,ij->i", d, T)[:, None] * T
+
+
+def _ref_lap(curve):
+    kappa, _, _ = curvature_vectors(curve)
+    h = curve.edge_lengths()
+    T = _ref_tangents(curve.points)
+    return _ref_normal_derivative(_ref_normal_derivative(kappa, h, T), h, T)
+
+
+def _ref_velocity(curve, lam):
+    kappa, _, _ = curvature_vectors(curve)
+    k2 = np.einsum("ij,ij->i", kappa, kappa)[:, None]
+    return -_ref_lap(curve) - 0.5 * k2 * kappa + lam * kappa
+
+
+def _ref_lambda(curve):
+    kappa, w, _ = curvature_vectors(curve)
+    k2 = np.einsum("ij,ij->i", kappa, kappa)
+    lap = _ref_lap(curve)
+    num = float(np.sum((np.einsum("ij,ij->i", lap, kappa) + 0.5 * k2 * k2) * w))
+    return num / float(np.sum(k2 * w))
+
+
+def _ref_energy(curve, lam, mode):
+    if mode == "fixed-lambda":
+        return 0.5 * bending_energy(curve) + lam * length(curve)
+    return bending_energy(curve)
+
+
+def _ref_implicit_step(pts, vel, h, dt, sigma):
+    n = pts.shape[0]
+    ang = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    sym = ang**2 / h**4 + sigma * ang / h**2
+    d4 = (np.roll(pts, -2, axis=0) - 4.0 * np.roll(pts, -1, axis=0) + 6.0 * pts
+          - 4.0 * np.roll(pts, 1, axis=0) + np.roll(pts, 2, axis=0)) / h**4
+    d2 = (np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)) / h**2
+    rhs = pts + dt * (vel + d4 - sigma * d2)
+    out = np.empty_like(pts)
+    for d in range(pts.shape[1]):
+        out[:, d] = np.fft.irfft(np.fft.rfft(rhs[:, d]) / (1.0 + dt * sym), n=n)
+    return out
+
+
+def _ref_step(state, config, remesh):
+    curve = state.curve
+    n = curve.n_points
+    lam = state.lam if state.mode == "fixed-lambda" else _ref_lambda(curve)
+    e0 = _ref_energy(curve, lam, state.mode)
+    dt = min(config.dt, 0.25 * (curve.length() / n))
+    vel = _ref_velocity(curve, lam)
+    kappa, _, _ = curvature_vectors(curve)
+    sigma = 2.0 * float(np.einsum("ij,ij->i", kappa, kappa).max()) + abs(lam)
+    h = curve.length() / n
+    for _ in range(21):
+        new_curve = curves.DiscreteCurve(
+            _ref_implicit_step(curve.points, vel, h, dt, sigma), closed=True)
+        if remesh:
+            new_curve = flow._resample_uniform(new_curve, n)
+        if state.mode == "fixed-length":
+            sc = state.target_length / new_curve.length()
+            centroid = new_curve.points.mean(axis=0)
+            new_curve = curves.DiscreteCurve(
+                centroid + sc * (new_curve.points - centroid), closed=True)
+        if _ref_energy(new_curve, lam, state.mode) \
+                <= e0 + config.energy_slack * max(1.0, abs(e0)):
+            return replace(state, curve=new_curve, time=state.time + dt, lam=lam)
+        dt *= 0.5
+    raise RuntimeError("step failure: energy increased after 20 dt halvings")
+
+
+@pytest.mark.parametrize("mode", ["fixed-lambda", "fixed-length"])
+@pytest.mark.parametrize("remesh", [True, False])
+def test_step_matches_reference_bit_for_bit(mode, remesh):
+    """[DERIVED] the one-geometry-pass step reproduces the reference step's
+    points and times exactly over 50 steps at n=256."""
+    g = perturbed_circle(6, 256, 0.05)
+    config = flow.FlowConfig(dt=2e-3)
+    new = ref = flow.FlowState(curve=g, lam=0.5, mode=mode)
+    for _ in range(50):
+        new = flow.step(new, config, remesh=remesh)
+        ref = _ref_step(ref, config, remesh)
+        assert new.curve.points.tobytes() == ref.curve.points.tobytes()
+        assert (new.time, new.lam) == (ref.time, ref.lam)
+
+
+def test_run_evaluates_curvature_once_per_trial(monkeypatch):
+    """[TRIVIAL] one flow.run calls curvature_vectors at most once per trial
+    step plus once at the start."""
+    counts = {"curvature": 0, "trials": 0, "steps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flow, "curvature_vectors",
+                        counted("curvature", flow.curvature_vectors))
+    monkeypatch.setattr(flow, "_implicit_step", counted("trials", flow._implicit_step))
+    monkeypatch.setattr(flow, "step", counted("steps", flow.step))
+    g = perturbed_circle(8, 256, 0.05)
+    config = flow.FlowConfig(dt=2e-3, max_steps=300, tol_velocity=1e-12,
+                             embed_check_every=20)
+    for mode, arg in (("fixed-length", g.length()), ("fixed-lambda", 0.5)):
+        counts.update(curvature=0, trials=0, steps=0)
+        flow.run(g, mode, arg, config)
+        assert counts["steps"] == 300
+        assert counts["trials"] >= counts["steps"]
+        assert counts["curvature"] <= counts["trials"] + 1
+
+
+def test_step_failure_raises_flow_step_error(monkeypatch):
+    """[TRIVIAL] a step whose every trial raises the energy gives up with
+    FlowStepError after 20 halvings."""
+    monkeypatch.setattr(flow, "_implicit_step", lambda pts, *args: 3.0 * pts)
+    state = flow.FlowState(curve=curves.circle(2, 1.0, 64), lam=1.0)
+    with pytest.raises(flow.FlowStepError, match="after 20 dt halvings"):
+        flow.step(state, flow.FlowConfig(dt=1e-3))
