@@ -2,8 +2,9 @@
 
 Subcommands: constants, generate, energy, flow, network, closure-search,
 verify.  Exit codes: 0 success, 1 verification failure, 2 usage error
-(including rejected input), 3 numerical failure (a flow step that still
-raised the energy after 20 halvings of dt).
+(including rejected input: every float option must be a finite number, and
+the flow rejects a non-positive --L0), 3 numerical failure (a flow step that
+still raised the energy after 20 halvings of dt).
 Every output file gets a RunManifest JSON written beside it; all numeric
 output is deterministic given identical flags (randomized generators take a
 mandatory --seed).
@@ -54,7 +55,8 @@ class RunManifest:
     def write(self) -> None:
         for out in self.outputs:
             path = Path(out).with_suffix(Path(out).suffix + ".manifest.json")
-            path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+            path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def _manifest(args, outputs) -> None:
@@ -222,9 +224,27 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage synopsis
+    (`-h` prints that); subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="elastica",
-                                description="elastica numerical toolkit")
+    p = _Parser(prog="elastica", description="elastica numerical toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="print the universal constants as JSON")
@@ -234,15 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["wavelike", "figure-eight", "half-leaf",
                                      "propeller", "circle", "perturbed-circle",
                                      "drop"])
-    sp.add_argument("--m", type=float, default=0.5, help="elliptic parameter")
-    sp.add_argument("--s-lo", type=float, default=None)
-    sp.add_argument("--s-hi", type=float, default=None)
+    sp.add_argument("--m", type=_finite_float, default=0.5, help="elliptic parameter")
+    sp.add_argument("--s-lo", type=_finite_float, default=None)
+    sp.add_argument("--s-hi", type=_finite_float, default=None)
     sp.add_argument("--halves", type=int, default=2,
                     help="N for the N/2-fold figure-eight")
     sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--radius", type=float, default=1.0)
+    sp.add_argument("--radius", type=_finite_float, default=1.0)
     sp.add_argument("--turns", type=int, default=1)
-    sp.add_argument("--noise", type=float, default=0.05)
+    sp.add_argument("--noise", type=_finite_float, default=0.05)
     sp.add_argument("--seed", type=int, default=None,
                     help="required for randomized kinds")
     sp.add_argument("--n", type=int, default=512, help="sample count")
@@ -251,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("energy", help="print an energy report for a curve file")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     sp.add_argument("--k", type=int, default=None,
                     help="also report the multiplicity-k margin")
     sp.set_defaults(func=cmd_energy)
@@ -260,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mode", choices=["fixed-lambda", "fixed-length"],
                     required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--L0", type=float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    sp.add_argument("--L0", type=_finite_float, default=None)
     sp.add_argument("--steps", type=int, default=50_000)
-    sp.add_argument("--dt", type=float, default=2e-3)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--dt", type=_finite_float, default=2e-3)
+    sp.add_argument("--tol", type=_finite_float, default=1e-4)
     sp.add_argument("--check-every", type=int, default=50)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_flow)
@@ -272,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("network", help="Theta-network construction and sweeps")
     nsub = sp.add_subparsers(dest="subcommand", required=True)
     w = nsub.add_parser("wavelike")
-    w.add_argument("--m", type=float, required=True)
+    w.add_argument("--m", type=_finite_float, required=True)
     w.add_argument("--samples", type=int, default=512)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_network)
@@ -280,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--in", dest="infile", required=True)
     e.set_defaults(func=cmd_network)
     s = nsub.add_parser("sweep")
-    s.add_argument("--m-lo", type=float, required=True)
-    s.add_argument("--m-hi", type=float, required=True)
+    s.add_argument("--m-lo", type=_finite_float, required=True)
+    s.add_argument("--m-hi", type=_finite_float, required=True)
     s.add_argument("--steps", type=int, default=100)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_network)
@@ -289,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("closure-search",
                         help="exhaustive planar sign-sequence closure search")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--eps", type=float, default=1e-6)
+    sp.add_argument("--eps", type=_finite_float, default=1e-6)
     sp.set_defaults(func=cmd_closure_search)
 
     sp = sub.add_parser("verify", help="run verification criteria")

@@ -1,6 +1,7 @@
 """Discrete curves and analytic generators for the explicit elastica zoo.
 
-Provides the polyline carrier, the wavelike and figure-eight samplers, the
+Provides the polyline carrier (its points are checked, and its edge lengths
+computed, once, when it is built), the wavelike and figure-eight samplers, the
 half-leaf building block, the tangent-tuple machinery for closed leafed
 elasticae (including the 3d propeller), the planar-closure sign search, and
 multiplicity / embeddedness predicates.
@@ -38,17 +39,30 @@ __all__ = [
 ]
 
 
+def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
+    if closed:
+        return np.concatenate([points[1:], points[:1]]) - points
+    return np.diff(points, axis=0)
+
+
+def _edge_norms(points: np.ndarray, closed: bool) -> np.ndarray:
+    return np.linalg.norm(_edge_vectors(points, closed), axis=1)
+
+
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Ordered point list in R^n with open/closed flag.
 
     Closed curves are interpreted cyclically (no duplicated endpoint).
-    Points are stored read-only; curves are safe to share.
+    Points and edge lengths are stored read-only; curves are safe to share.
+    The edge lengths are computed once, by the constructor's check that
+    consecutive points are distinct.
     """
 
     points: np.ndarray
     closed: bool = False
     vertex_marks: Optional[tuple] = None
+    _edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -60,14 +74,14 @@ class DiscreteCurve:
                 isinstance(m, (int, np.integer)) and not isinstance(m, bool)
                 and 0 <= m < pts.shape[0] for m in self.vertex_marks):
             raise ValueError(f"vertex_marks must be integers in [0, {pts.shape[0]})")
-        edges = np.diff(pts, axis=0)
-        if self.closed:
-            edges = np.vstack([edges, pts[0] - pts[-1]])
-        if np.any(np.linalg.norm(edges, axis=1) == 0.0):
+        h = _edge_norms(pts, self.closed)
+        if np.any(h == 0.0):
             raise ValueError("consecutive points must be distinct")
         pts = pts.copy()
         pts.setflags(write=False)
+        h.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_edge_lengths", h)
 
     @property
     def dimension(self) -> int:
@@ -78,15 +92,14 @@ class DiscreteCurve:
         return self.points.shape[0]
 
     def edge_vectors(self) -> np.ndarray:
-        if self.closed:
-            return np.roll(self.points, -1, axis=0) - self.points
-        return np.diff(self.points, axis=0)
+        return _edge_vectors(self.points, self.closed)
 
     def edge_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edge_vectors(), axis=1)
+        """Edge norms, read-only, closing edge last for closed curves."""
+        return self._edge_lengths
 
     def length(self) -> float:
-        return float(self.edge_lengths().sum())
+        return float(self._edge_lengths.sum())
 
     def transformed(self, rotation: Optional[np.ndarray] = None,
                     translation: Optional[np.ndarray] = None) -> "DiscreteCurve":

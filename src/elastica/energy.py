@@ -53,19 +53,15 @@ def curvature_vectors(curve: DiscreteCurve):
     pts = curve.points
     h = _edges(curve)
     if curve.closed:
-        h_prev = np.roll(h, 1)
-        p_prev = np.roll(pts, 1, axis=0)
-        p_next = np.roll(pts, -1, axis=0)
+        # wrap one node (and one edge) around, so both cases read the stencil
+        # off consecutive slices
+        pts = np.concatenate([pts[-1:], pts, pts[:1]])
+        h = np.concatenate([h[-1:], h])
         idx = np.arange(curve.n_points)
-        p = pts
-        h_next = h
     else:
-        h_prev = h[:-1][:, None]
-        h_next = h[1:][:, None]
-        p_prev, p, p_next = pts[:-2], pts[1:-1], pts[2:]
         idx = np.arange(1, curve.n_points - 1)
-        h_prev = h[:-1]
-        h_next = h[1:]
+    p_prev, p, p_next = pts[:-2], pts[1:-1], pts[2:]
+    h_prev, h_next = h[:-1], h[1:]
     kappa = 2.0 / (h_prev + h_next)[:, None] * (
         (p_next - p) / h_next[:, None] - (p - p_prev) / h_prev[:, None]
     )

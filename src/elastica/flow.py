@@ -12,9 +12,13 @@ fixed-length multiplier on a circle evaluates to the same value.
 Time stepping treats the stiff fourth-order leading term implicitly through
 a circulant (FFT) solve on a uniform-arclength grid, and the lower-order
 terms explicitly; a step that increases the energy beyond slack is retried
-with a halved dt.  Nodes are redistributed to uniform arclength by periodic
-interpolation.  Each curve gets one geometry pass (one `curvature_vectors`
-call), which the next step and the monitoring reuse through `FlowState`.
+with a halved dt.  Nodes are redistributed to uniform arclength on the
+periodic cubic spline through the trial polygon; the spline is solved here
+(one tridiagonal banded solve), to the bit as scipy's `CubicSpline` with
+periodic ends would give it, without importing `scipy.interpolate`.  Each
+curve gets one geometry pass (one `curvature_vectors` call), which the next
+step and the monitoring reuse through `FlowState`, and its edge lengths are
+the ones `DiscreteCurve` computed when it checked the points.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import DiscreteCurve, is_embedded
+from .curves import DiscreteCurve, _edge_norms, is_embedded
 from .energy import curvature_vectors
 
 __all__ = [
@@ -52,9 +56,16 @@ class FlowConfig:
     energy_slack: float = 1e-9       # per-step allowed energy increase (fixed-lambda)
 
     def __post_init__(self):
-        if min(self.dt, self.tol_velocity, self.remesh_every, self.max_steps,
-               self.embed_check_every) <= 0:
-            raise ValueError("all FlowConfig fields must be positive")
+        # written so that NaN fails too
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.dt, self.tol_velocity, self.remesh_every, self.max_steps,
+                self.embed_check_every)):
+            raise ValueError("FlowConfig dt, tol_velocity, remesh_every, max_steps "
+                             "and embed_check_every must be finite and positive")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.embed_eps,
+                                                           self.energy_slack)):
+            raise ValueError("FlowConfig embed_eps and energy_slack must be "
+                             "finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -130,22 +141,30 @@ class _Geometry:
         return self.B
 
 
-def _cyclic_normal_derivative(field_vals: np.ndarray, h: np.ndarray,
+def _cyclic_pad(a: np.ndarray, k: int) -> np.ndarray:
+    """a with its last k rows put before it and its first k rows after it, so
+    that cyclic stencils read off consecutive slices."""
+    return np.concatenate([a[-k:], a, a[:k]])
+
+
+def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
                               T: np.ndarray) -> np.ndarray:
-    d = (np.roll(field_vals, -1, axis=0) - np.roll(field_vals, 1, axis=0)) \
-        / (h + np.roll(h, 1))[:, None]
+    f = _cyclic_pad(field_vals, 1)
+    d = (f[2:] - f[:-2]) / span[:, None]
     return d - np.einsum("ij,ij->i", d, T)[:, None] * T
 
 
 def _geometry(curve: DiscreteCurve) -> _Geometry:
     kappa, w, _ = curvature_vectors(curve)
-    h = curve.edge_lengths()
-    chords = np.roll(curve.points, -1, axis=0) - np.roll(curve.points, 1, axis=0)
+    p = _cyclic_pad(curve.points, 1)
+    chords = p[2:] - p[:-2]
     T = chords / np.linalg.norm(chords, axis=1)[:, None]
-    lap = _cyclic_normal_derivative(_cyclic_normal_derivative(kappa, h, T), h, T)
+    # h_{i-1} + h_i: w is their half-sum, and halving and doubling are exact
+    span = 2.0 * w
+    lap = _cyclic_normal_derivative(_cyclic_normal_derivative(kappa, span, T), span, T)
     k2 = np.einsum("ij,ij->i", kappa, kappa)
     return _Geometry(kappa=kappa, w=w, k2=k2, lap=lap,
-                     B=float(np.sum(k2 * w)), L=float(h.sum()))
+                     B=float(np.sum(k2 * w)), L=curve.length())
 
 
 def normal_laplacian_kappa(curve: DiscreteCurve) -> np.ndarray:
@@ -168,18 +187,65 @@ def lambda_fixed_length(curve: DiscreteCurve) -> float:
     return _geometry(curve).lambda_fixed_length()
 
 
+def _uniform_arclength(pts: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """n points at uniform arclength on the periodic cubic spline through the
+    closed polygon pts (edge lengths h), knots at its cumulative arclength.
+
+    The spline is scipy's `CubicSpline(..., bc_type="periodic")`, computed
+    here operation for operation, so the points agree with it to the bit: the
+    slopes solve scipy's condensed tridiagonal system, whose Sherman-Morrison
+    column rides as one more right-hand side of the same banded solve, and
+    the cubics are evaluated in `PPoly`'s order."""
+    from scipy.linalg import solve_banded   # here, to keep it out of the CLI's import
+
+    m, dim = pts.shape   # m intervals, slopes s_0..s_{m-1}, s_m = s_0
+    x = np.concatenate([[0.0], np.cumsum(h)])
+    dx = np.diff(x)
+    if not (dx > 0.0).all():
+        raise ValueError("arclength knots must be strictly increasing")
+    y = np.concatenate([pts, pts[:1]])
+    slope = np.diff(y, axis=0) / dx[:, None]
+    # row i couples s_{i-1}, s_i, s_{i+1}; rows 0..m-2 with s_{m-1} moved
+    # into the extra column, row m-1 closes the system
+    ab = np.zeros((3, m - 1))
+    ab[0, 1] = dx[-1]
+    ab[0, 2:] = dx[:m - 3]
+    ab[1, 0] = 2 * (dx[-1] + dx[0])
+    ab[1, 1:] = 2 * (dx[:m - 2] + dx[1:m - 1])
+    ab[2] = dx[1:]
+    dxw = np.concatenate([dx[-1:], dx])
+    sw = np.concatenate([slope[-1:], slope])
+    b = 3 * (dxw[1:, None] * sw[:-1] + dxw[:-1, None] * sw[1:])
+    rhs = np.zeros((m - 1, dim + 1))
+    rhs[:, :dim] = b[:-1]
+    rhs[0, dim] = -dx[0]
+    rhs[-1, dim] = -dx[-3]
+    sol = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                       check_finite=False)
+    s1, s2 = sol[:, :dim], sol[:, dim:]
+    s_last = ((b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+              / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+    s = np.empty((m + 1, dim))
+    s[:-2] = s1 + s_last * s2
+    s[-2] = s_last
+    s[-1] = s[0]
+    # Hermite coefficients, highest power first
+    t = (s[:-1] + s[1:] - 2 * slope) / dx[:, None]
+    c0 = t / dx[:, None]
+    c1 = (slope - s[:-1]) / dx[:, None] - t
+    xn = np.linspace(0.0, x[-1], n, endpoint=False)
+    i = np.searchsorted(x, xn, side="right") - 1
+    u = (xn - x.take(i))[:, None]
+    u2 = u * u
+    y0, y1, y2, y3 = (c.take(i, axis=0) for c in (pts, s, c1, c0))
+    # PPoly sums the powers upwards from 0.0 (which turns -0.0 into +0.0)
+    return (((0.0 + y0) + y1 * u) + y2 * u2) + y3 * (u2 * u)
+
+
 def _resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
     """Redistribute nodes to uniform arclength by periodic cubic interpolation."""
-    from scipy.interpolate import CubicSpline
-
-    pts = curve.points
-    h = curve.edge_lengths()
-    s = np.concatenate([[0.0], np.cumsum(h)])
-    L = s[-1]
-    pts_ext = np.vstack([pts, pts[:1]])
-    spline = CubicSpline(s, pts_ext, bc_type="periodic", axis=0)
-    s_new = np.linspace(0.0, L, n, endpoint=False)
-    return DiscreteCurve(spline(s_new), closed=True)
+    return DiscreteCurve(_uniform_arclength(curve.points, curve.edge_lengths(), n),
+                         closed=True)
 
 
 def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
@@ -194,20 +260,12 @@ def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
     n_bins = n // 2 + 1
     ang = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n_bins) / n)
     sym = ang**2 / h**4 + sigma * ang / h**2
-    d4 = _fourth_difference(pts, h)
-    d2 = _second_difference(pts, h)
+    p = _cyclic_pad(pts, 2)   # p[i + 2] = pts[i]
+    d4 = (p[4:] - 4.0 * p[3:-1] + 6.0 * pts - 4.0 * p[1:-3] + p[:-4]) / h**4
+    d2 = (p[3:-1] - 2.0 * pts + p[1:-3]) / h**2
     rhs = pts + dt * (vel + d4 - sigma * d2)
     denom = 1.0 + dt * sym
     return np.fft.irfft(np.fft.rfft(rhs, axis=0) / denom[:, None], n=n, axis=0)
-
-
-def _fourth_difference(pts: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(pts, -2, axis=0) - 4.0 * np.roll(pts, -1, axis=0) + 6.0 * pts
-            - 4.0 * np.roll(pts, 1, axis=0) + np.roll(pts, 2, axis=0)) / h**4
-
-
-def _second_difference(pts: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)) / h**2
 
 
 def step(state: FlowState, config: FlowConfig, remesh: bool = True) -> FlowState:
@@ -225,15 +283,18 @@ def step(state: FlowState, config: FlowConfig, remesh: bool = True) -> FlowState
     vel = geom.velocity(lam)
     sigma = 2.0 * float(geom.k2.max()) + abs(lam)
     for _ in range(21):
-        pts = _implicit_step(curve.points, vel, h, dt, sigma)
-        new_curve = DiscreteCurve(pts, closed=True)
+        new_curve = DiscreteCurve(_implicit_step(curve.points, vel, h, dt, sigma),
+                                  closed=True)
+        pts = new_curve.points
         if remesh:
-            new_curve = _resample_uniform(new_curve, n)
+            pts = _uniform_arclength(pts, new_curve.edge_lengths(), n)
         if state.mode == "fixed-length":
-            sc = state.target_length / new_curve.length()
-            centroid = new_curve.points.mean(axis=0)
-            new_curve = DiscreteCurve(centroid + sc * (new_curve.points - centroid),
-                                      closed=True)
+            L = float(_edge_norms(pts, True).sum()) if remesh else new_curve.length()
+            sc = state.target_length / L
+            centroid = pts.mean(axis=0)
+            pts = centroid + sc * (pts - centroid)
+        if remesh or state.mode == "fixed-length":
+            new_curve = DiscreteCurve(pts, closed=True)
         new_geom = _geometry(new_curve)
         if new_geom.energy(lam, state.mode) <= e0 + config.energy_slack * max(1.0, abs(e0)):
             new_state = replace(state, curve=new_curve, time=state.time + dt, lam=lam)
@@ -258,9 +319,13 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
     is called as observer(time, energy, length, roundness, embedded) at every
     monitoring point."""
     if mode == "fixed-lambda":
+        if not math.isfinite(lambda_or_L0):
+            raise ValueError("lambda must be finite")
         state = FlowState(curve=_resample_uniform(initial, initial.n_points),
                           lam=lambda_or_L0, mode=mode)
     elif mode == "fixed-length":
+        if not (math.isfinite(lambda_or_L0) and lambda_or_L0 > 0):
+            raise ValueError("L0 must be finite and positive")
         cur = _resample_uniform(initial, initial.n_points)
         sc = lambda_or_L0 / cur.length()
         cur = DiscreteCurve(cur.points * sc, closed=True)

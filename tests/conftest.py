@@ -1,4 +1,10 @@
+import os
+from pathlib import Path
+
 import hypothesis
+import pytest
+
+import elastica
 
 hypothesis.settings.register_profile(
     "numeric", deadline=None, max_examples=50, derandomize=True)
@@ -15,3 +21,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment for a child interpreter that imports this checkout's
+    elastica."""
+    src = str(Path(elastica.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

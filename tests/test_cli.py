@@ -13,7 +13,8 @@ import pytest
 
 import elastica
 from elastica import curves, flow, serialization
-from elastica.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, dispatch
+from elastica.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, RunManifest,
+                          dispatch)
 
 
 def test_constants_json(capsys):
@@ -176,3 +177,95 @@ def test_json_writers_refuse_nan(tmp_path):
         serialization.curve_to_json(curves.circle(2, 1.0, 16),
                                     tmp_path / "c.json", generator="circle",
                                     parameters={"radius": float("nan")})
+
+
+# every float option, each in a command line that is valid apart from it
+_FLOAT_OPTIONS = {
+    "generate --m": ["generate", "wavelike", "--m", "{}", "--out", "w.csv"],
+    "generate --s-lo": ["generate", "wavelike", "--s-lo", "{}", "--out", "w.csv"],
+    "generate --s-hi": ["generate", "wavelike", "--s-hi", "{}", "--out", "w.csv"],
+    "generate --radius": ["generate", "circle", "--radius", "{}", "--out", "c.csv"],
+    "generate --noise": ["generate", "perturbed-circle", "--seed", "1",
+                         "--noise", "{}", "--out", "p.csv"],
+    "energy --lambda": ["energy", "--in", "c.csv", "--lambda", "{}"],
+    "flow --lambda": ["flow", "--in", "c.csv", "--mode", "fixed-lambda",
+                      "--lambda", "{}", "--out", "t.csv"],
+    "flow --L0": ["flow", "--in", "c.csv", "--mode", "fixed-length", "--L0", "{}",
+                  "--out", "t.csv"],
+    "flow --dt": ["flow", "--in", "c.csv", "--mode", "fixed-length", "--dt", "{}",
+                  "--out", "t.csv"],
+    "flow --tol": ["flow", "--in", "c.csv", "--mode", "fixed-length", "--tol", "{}",
+                   "--out", "t.csv"],
+    "network wavelike --m": ["network", "wavelike", "--m", "{}", "--out", "n.json"],
+    "network sweep --m-lo": ["network", "sweep", "--m-lo", "{}", "--m-hi", "0.8",
+                             "--out", "s.csv"],
+    "network sweep --m-hi": ["network", "sweep", "--m-lo", "0.1", "--m-hi", "{}",
+                             "--out", "s.csv"],
+    "closure-search --eps": ["closure-search", "--k", "3", "--eps", "{}"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", list(_FLOAT_OPTIONS))
+def test_non_finite_float_option_is_a_usage_error(option, value, tmp_path, capsys,
+                                                  monkeypatch):
+    """[TRIVIAL] NaN or inf in any float option exits 2 with one line on
+    stderr, before anything is read or written."""
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(value) for a in _FLOAT_OPTIONS[option]]
+    assert dispatch(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"elastica {argv[0]}{' ' + argv[1] if argv[0] == 'network' else ''}: error: "
+        f"argument {option.split()[-1]}: not a finite number: '{value}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flow_rejects_non_positive_L0(tmp_path, capsys):
+    """[TRIVIAL] --L0 -1 exits 2 instead of flowing at L0 = +1."""
+    src = tmp_path / "c.csv"
+    dispatch(["generate", "circle", "--n", "64", "--out", str(src)])
+    capsys.readouterr()
+    trace = tmp_path / "t.csv"
+    assert dispatch(["flow", "--in", str(src), "--mode", "fixed-length", "--L0", "-1",
+                     "--steps", "10", "--out", str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == "error: L0 must be finite and positive"
+    assert not trace.exists()
+
+
+def test_manifest_refuses_nan(tmp_path):
+    """[TRIVIAL] a NaN parameter cannot reach a run manifest."""
+    out = tmp_path / "c.csv"
+    with pytest.raises(ValueError):
+        RunManifest(command="generate", parameters={"radius": float("nan")},
+                    outputs=[str(out)]).write()
+    assert not (tmp_path / "c.csv.manifest.json").exists()
+
+
+def test_cli_runs_are_byte_identical(tmp_path, subprocess_env):
+    """[TRIVIAL] generate, a 200-step flow and a network sweep, run twice in
+    fresh interpreters with different hash seeds and in separate directories,
+    print the same bytes and write the same files, manifests included."""
+    script = (
+        "from elastica.cli import dispatch\n"
+        "for argv in (['generate', 'perturbed-circle', '--seed', '7', '--n', '256',"
+        " '--out', 'pc.csv'],\n"
+        "             ['flow', '--in', 'pc.csv', '--mode', 'fixed-length', '--steps',"
+        " '200', '--tol', '1e-12', '--out', 'trace.csv'],\n"
+        "             ['network', 'sweep', '--m-lo', '0.1', '--m-hi', '0.8',"
+        " '--steps', '8', '--out', 'sweep.csv']):\n"
+        "    assert dispatch(argv) == 0\n")
+    runs = []
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / f"run{hash_seed}"
+        run_dir.mkdir()
+        res = subprocess.run([sys.executable, "-c", script], cwd=run_dir, check=True,
+                             env=dict(subprocess_env, PYTHONHASHSEED=hash_seed),
+                             capture_output=True)
+        runs.append((res.stdout, {p.name: p.read_bytes() for p in run_dir.iterdir()}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == sorted(
+        f"{name}{suffix}" for name in ("pc.csv", "trace.csv", "sweep.csv")
+        for suffix in ("", ".manifest.json"))
+    assert len(runs[0][1]["trace.csv"].splitlines()) == 1 + 6   # t = 0, 4 checks, end

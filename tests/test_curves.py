@@ -6,6 +6,7 @@ Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,3 +325,22 @@ def test_multiplicity_matches_loop(name, rel_eps):
     stride = max(1, curve.n_points // 256)
     for p in curve.points[::stride]:
         assert curves.multiplicity(curve, p, eps) == _multiplicity_loop(curve, p, eps)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_edge_lengths_are_cached_read_only(closed):
+    """[TRIVIAL] edge_lengths() is the constructor's read-only array, the
+    norms of edge_vectors() to the bit; transformed and replace recompute it."""
+    c = curves.DiscreteCurve(perturbed_circle(3, 64, 0.05).points, closed=closed)
+    h = c.edge_lengths()
+    assert h is c.edge_lengths() and len(h) == (64 if closed else 63)
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0] = 1.0
+    assert h.tobytes() == np.linalg.norm(c.edge_vectors(), axis=1).tobytes()
+    assert c.length() == float(h.sum())
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for d in (c.transformed(rotation=2.0 * rot, translation=np.array([1.0, 2.0])),
+              replace(c, points=3.0 * c.points)):
+        assert d.edge_lengths().tobytes() == np.linalg.norm(d.edge_vectors(), axis=1).tobytes()
+        assert d.edge_lengths().tobytes() != h.tobytes()

@@ -4,6 +4,8 @@ Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -258,3 +260,70 @@ def test_step_failure_raises_flow_step_error(monkeypatch):
     state = flow.FlowState(curve=curves.circle(2, 1.0, 64), lam=1.0)
     with pytest.raises(flow.FlowStepError, match="after 20 dt halvings"):
         flow.step(state, flow.FlowConfig(dt=1e-3))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", math.nan), ("dt", math.inf), ("dt", -1e-3), ("tol_velocity", math.nan),
+    ("tol_velocity", math.inf), ("energy_slack", math.nan), ("embed_eps", -1.0)])
+def test_flow_config_rejects_out_of_domain_values(field, value):
+    """[TRIVIAL] NaN, infinite and negative parameters fail at construction."""
+    with pytest.raises(ValueError, match="FlowConfig"):
+        flow.FlowConfig(**{field: value})
+
+
+@pytest.mark.parametrize("mode, value", [
+    ("fixed-lambda", math.nan), ("fixed-lambda", math.inf), ("fixed-length", math.nan),
+    ("fixed-length", math.inf), ("fixed-length", 0.0), ("fixed-length", -1.0)])
+def test_run_rejects_out_of_domain_lambda_and_L0(mode, value):
+    """[TRIVIAL] a non-finite lambda, or an L0 that is not finite and
+    positive, fails before the first step (L0 = -1 used to flow at +1)."""
+    with pytest.raises(ValueError, match="lambda must be finite|L0 must be finite"):
+        flow.run(curves.circle(2, 1.0, 32), mode, value, flow.FlowConfig(max_steps=1))
+
+
+def test_flow_run_leaves_scipy_interpolate_unloaded(subprocess_env):
+    """[TRIVIAL] the remesh solves its spline without scipy.interpolate."""
+    code = ("import sys\nfrom elastica import curves, flow\n"
+            "flow.run(curves.circle(2, 1.0, 32), 'fixed-length', 1.0, "
+            "flow.FlowConfig(max_steps=20))\n"
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# remesh: the spline solved in `flow` against scipy's CubicSpline
+
+def _remesh_input(shape, n, dim):
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    if shape == "perturbed-circle":      # near-uniform knots
+        pts = perturbed_circle(n, n, 0.05).points
+    elif shape == "clustered":           # knot spacing from ~1/n^2 to ~1/n
+        t = 2.0 * np.pi * (np.arange(n) / n) ** 2
+        r = 1.0 + 0.3 * np.cos(2.0 * t)
+        pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    else:                                # figure-eight sampled by parameter;
+        # its first x is -0.0 with a negative slope, which pins PPoly's
+        # summation from +0.0
+        pts = np.column_stack([-np.sin(t), np.sin(t) * np.cos(t)])
+    if dim == 3:
+        pts = np.column_stack([pts, 0.2 * np.sin(3.0 * t + 0.5)])
+    return curves.DiscreteCurve(pts, closed=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 256, 1024])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shape", ["perturbed-circle", "clustered", "figure-eight"])
+def test_resample_matches_scipy_cubic_spline_bitwise(shape, dim, n):
+    """[DERIVED] the remesh equals scipy's periodic CubicSpline through the
+    polygon, knots at cumulative arclength, byte for byte."""
+    from scipy.interpolate import CubicSpline
+
+    curve = _remesh_input(shape, n, dim)
+    knots = np.concatenate([[0.0], np.cumsum(curve.edge_lengths())])
+    spline = CubicSpline(knots, np.vstack([curve.points, curve.points[:1]]),
+                         bc_type="periodic", axis=0)
+    for n_out in (n, 2 * n + 1):
+        expected = spline(np.linspace(0.0, knots[-1], n_out, endpoint=False))
+        assert flow._resample_uniform(curve, n_out).points.tobytes() == expected.tobytes()
