@@ -26,7 +26,6 @@ __all__ = [
     "sample_wavelike",
     "sample_figure_eight",
     "canonical_half_leaf",
-    "half_leaf_tangents",
     "build_tangent_tuple_propeller",
     "planar_tangent_tuple",
     "propeller_eight_tuple",
@@ -213,15 +212,6 @@ def canonical_half_leaf(n_samples: int) -> DiscreteCurve:
     if n_samples < 16:
         raise ValueError("need at least 16 samples")
     return sample_figure_eight(1, n_samples, closed=False)
-
-
-def half_leaf_tangents() -> tuple:
-    """Exact unit start/end tangents of the canonical half-leaf:
-    (2m*-1, +-2 sqrt(m*(1-m*)))."""
-    c = constants()
-    tx = 2.0 * c.m_star - 1.0
-    ty = 2.0 * math.sqrt(c.m_star * (1.0 - c.m_star))
-    return np.array([tx, ty]), np.array([tx, -ty])
 
 
 def build_tangent_tuple_propeller() -> TangentTuple:

@@ -46,9 +46,10 @@ def _edges(curve: DiscreteCurve):
 def curvature_vectors(curve: DiscreteCurve):
     """Discrete curvature vectors and integration weights.
 
-    Returns (kappa, weights, index) where kappa[i] approximates the second
-    arclength derivative of position at node index[i] and weights are the
-    half-sums of adjacent edge lengths.  Interior nodes only for open curves.
+    Returns (kappa, weights) where kappa[i] approximates the second arclength
+    derivative of position at node i (node i + 1 for open curves, which skip
+    their two end nodes) and weights are the half-sums of adjacent edge
+    lengths.
     """
     pts = curve.points
     h = _edges(curve)
@@ -57,16 +58,13 @@ def curvature_vectors(curve: DiscreteCurve):
         # off consecutive slices
         pts = np.concatenate([pts[-1:], pts, pts[:1]])
         h = np.concatenate([h[-1:], h])
-        idx = np.arange(curve.n_points)
-    else:
-        idx = np.arange(1, curve.n_points - 1)
     p_prev, p, p_next = pts[:-2], pts[1:-1], pts[2:]
     h_prev, h_next = h[:-1], h[1:]
     kappa = 2.0 / (h_prev + h_next)[:, None] * (
         (p_next - p) / h_next[:, None] - (p - p_prev) / h_prev[:, None]
     )
     weights = 0.5 * (h_prev + h_next)
-    return kappa, weights, idx
+    return kappa, weights
 
 
 def length(curve: DiscreteCurve) -> float:
@@ -76,7 +74,7 @@ def length(curve: DiscreteCurve) -> float:
 
 def bending_energy(curve: DiscreteCurve) -> float:
     """Integral of squared curvature, B = sum |kappa_i|^2 w_i."""
-    kappa, w, _ = curvature_vectors(curve)
+    kappa, w = curvature_vectors(curve)
     return float(np.sum(np.einsum("ij,ij->i", kappa, kappa) * w))
 
 
@@ -87,7 +85,7 @@ def normalized_bending(curve: DiscreteCurve) -> float:
 
 def total_curvature(curve: DiscreteCurve) -> float:
     """Integral of |kappa|."""
-    kappa, w, _ = curvature_vectors(curve)
+    kappa, w = curvature_vectors(curve)
     return float(np.sum(np.linalg.norm(kappa, axis=1) * w))
 
 
@@ -139,10 +137,14 @@ def total_curvature_piecewise(curves: Sequence[DiscreteCurve],
     return PiecewiseFenchelReport(tc_parts=tuple(tc_parts), angles=tuple(angles), defect=defect)
 
 
-def e_lambda(curve: DiscreteCurve, lam: float) -> float:
-    """Length-penalized energy B + lambda L."""
+def _check_lambda(lam: float) -> None:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+
+
+def e_lambda(curve: DiscreteCurve, lam: float) -> float:
+    """Length-penalized energy B + lambda L."""
+    _check_lambda(lam)
     return bending_energy(curve) + lam * length(curve)
 
 
@@ -206,6 +208,7 @@ class EnergyReport:
 
 
 def report(curve: DiscreteCurve, lam: float = 1.0) -> EnergyReport:
+    _check_lambda(lam)
     L = length(curve)
     B = bending_energy(curve)
     return EnergyReport(

@@ -11,14 +11,19 @@ fixed-length multiplier on a circle evaluates to the same value.
 
 Time stepping treats the stiff fourth-order leading term implicitly through
 a circulant (FFT) solve on a uniform-arclength grid, and the lower-order
-terms explicitly; a step that increases the energy beyond slack is retried
-with a halved dt.  Nodes are redistributed to uniform arclength on the
-periodic cubic spline through the trial polygon; the spline is solved here
-(one tridiagonal banded solve), to the bit as scipy's `CubicSpline` with
-periodic ends would give it, without importing `scipy.interpolate`.  Each
-curve gets one geometry pass (one `curvature_vectors` call), which the next
-step and the monitoring reuse through `FlowState`, and its edge lengths are
+terms explicitly; a step that increases the energy beyond a slack of 1e-9
+(relative to max(1, |E|)) is retried with a halved dt.  Every trial is
+remeshed: nodes are redistributed to uniform arclength on the periodic cubic
+spline through the trial polygon; the spline is solved here (one tridiagonal
+banded solve), to the bit as scipy's `CubicSpline` with periodic ends would
+give it, without importing `scipy.interpolate`.  Building a `FlowState` makes
+its curve's one geometry pass (one `curvature_vectors` call), which the
+energy test, the next step and the monitoring read, and its edge lengths are
 the ones `DiscreteCurve` computed when it checked the points.
+
+`FlowConfig` has four knobs: the time step cap `dt`, the stationarity
+threshold `tol_velocity` on the max node speed, the step budget `max_steps`,
+and `embed_check_every`, the number of steps between monitoring points.
 """
 
 from __future__ import annotations
@@ -45,27 +50,23 @@ __all__ = [
 ]
 
 
+# per-step allowed energy increase, relative to max(1, |E|)
+_ENERGY_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float = 1e-5                 # time step cap; stabilized solver allows O(h^2)
     tol_velocity: float = 1e-4       # stationarity threshold on max node speed
-    remesh_every: int = 1            # steps between uniform-arclength resamplings
     max_steps: int = 200_000
-    embed_eps: float = 0.0           # 0 -> is_embedded default
     embed_check_every: int = 100     # embeddedness monitoring cadence
-    energy_slack: float = 1e-9       # per-step allowed energy increase (fixed-lambda)
 
     def __post_init__(self):
         # written so that NaN fails too
         if not all(math.isfinite(v) and v > 0 for v in (
-                self.dt, self.tol_velocity, self.remesh_every, self.max_steps,
-                self.embed_check_every)):
-            raise ValueError("FlowConfig dt, tol_velocity, remesh_every, max_steps "
+                self.dt, self.tol_velocity, self.max_steps, self.embed_check_every)):
+            raise ValueError("FlowConfig dt, tol_velocity, max_steps "
                              "and embed_check_every must be finite and positive")
-        if not all(math.isfinite(v) and v >= 0 for v in (self.embed_eps,
-                                                           self.energy_slack)):
-            raise ValueError("FlowConfig embed_eps and energy_slack must be "
-                             "finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ class FlowState:
     lam: float = 0.0
     mode: str = "fixed-lambda"       # or "fixed-length"
     target_length: float = 0.0
-    _geom: Optional[_Geometry] = field(default=None, init=False, repr=False,
-                                       compare=False)  # `replace` resets it
+    _geom: _Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.curve.closed:
@@ -89,12 +89,15 @@ class FlowState:
                 object.__setattr__(self, "target_length", L)
             elif abs(L - self.target_length) / self.target_length > 1e-6:
                 raise ValueError("curve length drifted from target_length")
+        object.__setattr__(self, "_geom", _geometry(self.curve))
 
 
-def _geometry_of(state: FlowState) -> _Geometry:
-    if state._geom is None:
-        object.__setattr__(state, "_geom", _geometry(state.curve))
-    return state._geom
+def _step_lambda(state: FlowState) -> float:
+    """The lambda a step from state uses: the given one, or the fixed-length
+    multiplier of its curve."""
+    if state.mode == "fixed-lambda":
+        return state.lam
+    return state._geom.lambda_fixed_length()
 
 
 @dataclass
@@ -155,7 +158,7 @@ def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
 
 
 def _geometry(curve: DiscreteCurve) -> _Geometry:
-    kappa, w, _ = curvature_vectors(curve)
+    kappa, w = curvature_vectors(curve)
     p = _cyclic_pad(curve.points, 1)
     chords = p[2:] - p[:-2]
     T = chords / np.linalg.norm(chords, axis=1)[:, None]
@@ -268,13 +271,13 @@ def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
     return np.fft.irfft(np.fft.rfft(rhs, axis=0) / denom[:, None], n=n, axis=0)
 
 
-def step(state: FlowState, config: FlowConfig, remesh: bool = True) -> FlowState:
+def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one accepted time step (dt halved on energy increase beyond
     slack; FlowStepError after 20 halvings)."""
     curve = state.curve
     n = curve.n_points
-    geom = _geometry_of(state)
-    lam = state.lam if state.mode == "fixed-lambda" else geom.lambda_fixed_length()
+    geom = state._geom
+    lam = _step_lambda(state)
     e0 = geom.energy(lam, state.mode)
     h = geom.L / n
     # with the implicit second-order shift only mild accuracy caps remain;
@@ -283,22 +286,15 @@ def step(state: FlowState, config: FlowConfig, remesh: bool = True) -> FlowState
     vel = geom.velocity(lam)
     sigma = 2.0 * float(geom.k2.max()) + abs(lam)
     for _ in range(21):
-        new_curve = DiscreteCurve(_implicit_step(curve.points, vel, h, dt, sigma),
-                                  closed=True)
-        pts = new_curve.points
-        if remesh:
-            pts = _uniform_arclength(pts, new_curve.edge_lengths(), n)
+        trial = DiscreteCurve(_implicit_step(curve.points, vel, h, dt, sigma), closed=True)
+        pts = _uniform_arclength(trial.points, trial.edge_lengths(), n)
         if state.mode == "fixed-length":
-            L = float(_edge_norms(pts, True).sum()) if remesh else new_curve.length()
-            sc = state.target_length / L
+            sc = state.target_length / float(_edge_norms(pts, True).sum())
             centroid = pts.mean(axis=0)
             pts = centroid + sc * (pts - centroid)
-        if remesh or state.mode == "fixed-length":
-            new_curve = DiscreteCurve(pts, closed=True)
-        new_geom = _geometry(new_curve)
-        if new_geom.energy(lam, state.mode) <= e0 + config.energy_slack * max(1.0, abs(e0)):
-            new_state = replace(state, curve=new_curve, time=state.time + dt, lam=lam)
-            object.__setattr__(new_state, "_geom", new_geom)
+        new_state = replace(state, curve=DiscreteCurve(pts, closed=True),
+                            time=state.time + dt, lam=lam)
+        if new_state._geom.energy(lam, state.mode) <= e0 + _ENERGY_SLACK * max(1.0, abs(e0)):
             return new_state
         dt *= 0.5
     raise FlowStepError("step failure: energy increased after 20 dt halvings")
@@ -321,40 +317,38 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
     if mode == "fixed-lambda":
         if not math.isfinite(lambda_or_L0):
             raise ValueError("lambda must be finite")
-        state = FlowState(curve=_resample_uniform(initial, initial.n_points),
-                          lam=lambda_or_L0, mode=mode)
+        lam, target = lambda_or_L0, 0.0
     elif mode == "fixed-length":
         if not (math.isfinite(lambda_or_L0) and lambda_or_L0 > 0):
             raise ValueError("L0 must be finite and positive")
-        cur = _resample_uniform(initial, initial.n_points)
-        sc = lambda_or_L0 / cur.length()
-        cur = DiscreteCurve(cur.points * sc, closed=True)
-        state = FlowState(curve=cur, mode=mode, target_length=lambda_or_L0)
+        lam, target = 0.0, lambda_or_L0
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    cur = _resample_uniform(initial, initial.n_points)
+    if mode == "fixed-length":
+        cur = DiscreteCurve(cur.points * (target / cur.length()), closed=True)
+    state = FlowState(curve=cur, lam=lam, mode=mode, target_length=target)
 
     report = FlowReport()
 
     def _observe(st, lam):
-        geom = _geometry_of(st)
-        en = geom.energy(lam, mode)
-        emb = is_embedded(st.curve, config.embed_eps)
+        en = st._geom.energy(lam, mode)
+        emb = is_embedded(st.curve)
         report.energy_trace.append((st.time, en))
         report.embedded_trace.append((st.time, emb))
         if observer is not None:
             rnd, _ = _roundness(st.curve)
-            observer(st.time, en, geom.L, rnd, emb)
+            observer(st.time, en, st._geom.L, rnd, emb)
 
-    lam0 = state.lam if mode == "fixed-lambda" else _geometry_of(state).lambda_fixed_length()
-    _observe(state, lam0)
+    _observe(state, _step_lambda(state))
     converged = False
     for i in range(config.max_steps):
-        state = step(state, config, remesh=(i % config.remesh_every == 0))
+        state = step(state, config)
         lam = state.lam
         if (i + 1) % config.embed_check_every == 0:
             _observe(state, lam)
         if (i + 1) % 10 == 0 or i == config.max_steps - 1:
-            vmax = float(np.linalg.norm(_geometry_of(state).velocity(lam), axis=1).max())
+            vmax = float(np.linalg.norm(state._geom.velocity(lam), axis=1).max())
             if vmax < config.tol_velocity:
                 converged = True
                 break

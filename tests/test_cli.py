@@ -4,14 +4,11 @@ Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import elastica
 from elastica import curves, flow, serialization
 from elastica.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, RunManifest,
                           dispatch)
@@ -62,6 +59,17 @@ def test_energy_report(tmp_path, capsys):
     assert dispatch(["energy", "--in", str(out), "--lambda", "0.5"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["normalized_bending"] == pytest.approx(39.478, abs=0.1)
+
+
+def test_energy_rejects_negative_lambda(tmp_path, capsys):
+    """[TRIVIAL] a negative lambda exits 2 with one line and prints no JSON."""
+    src = tmp_path / "c.csv"
+    dispatch(["generate", "circle", "--n", "64", "--out", str(src)])
+    capsys.readouterr()
+    assert dispatch(["energy", "--in", str(src), "--lambda", "-1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "error: lambda must be nonnegative"
 
 
 def test_flow_trace(tmp_path, capsys):
@@ -120,15 +128,12 @@ def test_domain_error_maps_to_usage_exit(tmp_path, capsys):
                      "--out", str(tmp_path / "n.json")]) == EXIT_USAGE
 
 
-def test_cli_import_leaves_integrate_and_optimize_unloaded():
+def test_cli_import_leaves_integrate_and_optimize_unloaded(subprocess_env):
     """[TRIVIAL] `import elastica.cli` loads neither scipy.integrate nor
     scipy.optimize, which dominate cold start."""
-    src = str(Path(elastica.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, elastica.cli; print(sorted(m for m in sys.modules "
             "if m in ('scipy.integrate', 'scipy.optimize')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 

@@ -87,6 +87,12 @@ def test_e_lambda_rejects_negative_lambda():
         energy.e_lambda(curves.circle(2, 1.0, 64), -1.0)
 
 
+def test_energy_report_rejects_negative_lambda():
+    """[TRIVIAL] report shares e_lambda's domain check."""
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        energy.report(curves.circle(2, 1.0, 64), -1.0)
+
+
 def test_curvature_convergence_order():
     """[DERIVED] discrete B converges to 2 pi / r at second order."""
     errs = []
