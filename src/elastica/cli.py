@@ -282,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     sp.add_argument("--L0", type=_finite_float, default=None)
-    sp.add_argument("--steps", type=int, default=50_000)
-    sp.add_argument("--dt", type=_finite_float, default=2e-3)
-    sp.add_argument("--tol", type=_finite_float, default=1e-4)
-    sp.add_argument("--check-every", type=int, default=50)
+    sp.add_argument("--steps", type=int, default=flow.FlowConfig.max_steps)
+    sp.add_argument("--dt", type=_finite_float, default=flow.FlowConfig.dt)
+    sp.add_argument("--tol", type=_finite_float, default=flow.FlowConfig.tol_velocity)
+    sp.add_argument("--check-every", type=int, default=flow.FlowConfig.embed_check_every)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_flow)
 

@@ -138,8 +138,9 @@ def total_curvature_piecewise(curves: Sequence[DiscreteCurve],
 
 
 def _check_lambda(lam: float) -> None:
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    # written so that NaN fails too
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and nonnegative")
 
 
 def e_lambda(curve: DiscreteCurve, lam: float) -> float:

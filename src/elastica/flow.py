@@ -11,23 +11,26 @@ fixed-length multiplier on a circle evaluates to the same value.
 
 Time stepping treats the stiff fourth-order leading term implicitly through
 a circulant (FFT) solve on a uniform-arclength grid, and the lower-order
-terms explicitly; a step that increases the energy beyond a slack of 1e-9
-(relative to max(1, |E|)) is retried with a halved dt.  Every trial is
-remeshed: nodes are redistributed to uniform arclength on the periodic cubic
-spline through the trial polygon; the spline is solved here (one tridiagonal
-banded solve), to the bit as scipy's `CubicSpline` with periodic ends would
-give it, without importing `scipy.interpolate`.  Building a `FlowState` makes
-its curve's one geometry pass (one `curvature_vectors` call), which the
-energy test, the next step and the monitoring read, and its edge lengths are
-the ones `DiscreteCurve` computed when it checked the points.
+terms explicitly.  Every step first tries dt = config.dt; a trial that
+increases the energy beyond a slack of 1e-9 (relative to max(1, |E|)) is
+retried with a halved dt, and this energy test is the only rule that changes
+dt.  Every trial is remeshed: nodes are redistributed to uniform arclength on
+the periodic cubic spline through the trial polygon; the spline is solved
+here (one LAPACK `gtsv` tridiagonal solve), to the bit as scipy's
+`CubicSpline` with periodic ends would give it, without importing
+`scipy.interpolate`.  Building a `FlowState` makes its curve's one geometry
+pass (one `curvature_vectors` call), which the energy test, the next step and
+the monitoring read, and its edge lengths are the ones `DiscreteCurve`
+computed when it checked the points.
 
-`FlowConfig` has four knobs: the time step cap `dt`, the stationarity
+`FlowConfig` has four knobs: the time step `dt`, the stationarity
 threshold `tol_velocity` on the max node speed, the step budget `max_steps`,
 and `embed_check_every`, the number of steps between monitoring points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -56,10 +59,10 @@ _ENERGY_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class FlowConfig:
-    dt: float = 1e-5                 # time step cap; stabilized solver allows O(h^2)
+    dt: float = 2e-3                 # time step; halved only by the energy test
     tol_velocity: float = 1e-4       # stationarity threshold on max node speed
-    max_steps: int = 200_000
-    embed_check_every: int = 100     # embeddedness monitoring cadence
+    max_steps: int = 50_000
+    embed_check_every: int = 50      # embeddedness monitoring cadence
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -67,6 +70,11 @@ class FlowConfig:
                 self.dt, self.tol_velocity, self.max_steps, self.embed_check_every)):
             raise ValueError("FlowConfig dt, tol_velocity, max_steps "
                              "and embed_check_every must be finite and positive")
+
+
+def _check_closed(curve: DiscreteCurve) -> None:
+    if not curve.closed:
+        raise ValueError("elastic flow runs on closed curves")
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,7 @@ class FlowState:
     _geom: _Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.curve.closed:
-            raise ValueError("elastic flow runs on closed curves")
+        _check_closed(self.curve)
         if self.mode not in ("fixed-lambda", "fixed-length"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "fixed-length":
@@ -196,10 +203,11 @@ def _uniform_arclength(pts: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 
     The spline is scipy's `CubicSpline(..., bc_type="periodic")`, computed
     here operation for operation, so the points agree with it to the bit: the
-    slopes solve scipy's condensed tridiagonal system, whose Sherman-Morrison
-    column rides as one more right-hand side of the same banded solve, and
-    the cubics are evaluated in `PPoly`'s order."""
-    from scipy.linalg import solve_banded   # here, to keep it out of the CLI's import
+    slopes solve scipy's condensed tridiagonal system with LAPACK `gtsv` (the
+    routine `solve_banded((1, 1), ...)` calls), its Sherman-Morrison column
+    riding as one more right-hand side of the same solve, and the cubics are
+    evaluated in `PPoly`'s order."""
+    from scipy.linalg.lapack import dgtsv   # here, to keep it out of the CLI's import
 
     m, dim = pts.shape   # m intervals, slopes s_0..s_{m-1}, s_m = s_0
     x = np.concatenate([[0.0], np.cumsum(h)])
@@ -208,23 +216,21 @@ def _uniform_arclength(pts: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("arclength knots must be strictly increasing")
     y = np.concatenate([pts, pts[:1]])
     slope = np.diff(y, axis=0) / dx[:, None]
-    # row i couples s_{i-1}, s_i, s_{i+1}; rows 0..m-2 with s_{m-1} moved
-    # into the extra column, row m-1 closes the system
-    ab = np.zeros((3, m - 1))
-    ab[0, 1] = dx[-1]
-    ab[0, 2:] = dx[:m - 3]
-    ab[1, 0] = 2 * (dx[-1] + dx[0])
-    ab[1, 1:] = 2 * (dx[:m - 2] + dx[1:m - 1])
-    ab[2] = dx[1:]
-    dxw = np.concatenate([dx[-1:], dx])
+    dxw = np.concatenate([dx[-1:], dx])   # dxw[i] = dx[i - 1], cyclically
     sw = np.concatenate([slope[-1:], slope])
     b = 3 * (dxw[1:, None] * sw[:-1] + dxw[:-1, None] * sw[1:])
-    rhs = np.zeros((m - 1, dim + 1))
+    # row i couples s_{i-1}, s_i, s_{i+1}; rows 0..m-2 with s_{m-1} moved
+    # into the extra column, row m-1 closes the system
+    rhs = np.zeros((m - 1, dim + 1), order="F")
     rhs[:, :dim] = b[:-1]
     rhs[0, dim] = -dx[0]
     rhs[-1, dim] = -dx[-3]
-    sol = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                       check_finite=False)
+    # sub-, main and super-diagonal; gtsv overwrites the fresh main diagonal
+    # and right-hand side in place, and copies the two views of dx
+    _, _, _, sol, info = dgtsv(dx[1:m - 1], 2 * (dxw[:m - 1] + dxw[1:m]), dxw[:m - 2],
+                               rhs, overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
     s1, s2 = sol[:, :dim], sol[:, dim:]
     s_last = ((b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
               / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
@@ -251,6 +257,14 @@ def _resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
                          closed=True)
 
 
+@functools.lru_cache(maxsize=16)
+def _fft_angles(n: int) -> np.ndarray:
+    """2 - 2 cos(2 pi k / n) for the rfft bins k = 0..n//2, read-only."""
+    ang = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    ang.flags.writeable = False
+    return ang
+
+
 def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
                    sigma: float) -> np.ndarray:
     """One stabilized IMEX step.
@@ -260,8 +274,7 @@ def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
     implicitly via circulant symbols; stationary states are unchanged because
     the shift is added and subtracted."""
     n = pts.shape[0]
-    n_bins = n // 2 + 1
-    ang = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n_bins) / n)
+    ang = _fft_angles(n)
     sym = ang**2 / h**4 + sigma * ang / h**2
     p = _cyclic_pad(pts, 2)   # p[i + 2] = pts[i]
     d4 = (p[4:] - 4.0 * p[3:-1] + 6.0 * pts - 4.0 * p[1:-3] + p[:-4]) / h**4
@@ -272,17 +285,15 @@ def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """Advance one accepted time step (dt halved on energy increase beyond
-    slack; FlowStepError after 20 halvings)."""
+    """Advance one accepted time step: try config.dt, halve it on an energy
+    increase beyond the slack, FlowStepError after 20 halvings."""
     curve = state.curve
     n = curve.n_points
     geom = state._geom
     lam = _step_lambda(state)
     e0 = geom.energy(lam, state.mode)
     h = geom.L / n
-    # with the implicit second-order shift only mild accuracy caps remain;
-    # keep a coarse-mesh guard proportional to h
-    dt = min(config.dt, 0.25 * h)
+    dt = config.dt
     vel = geom.velocity(lam)
     sigma = 2.0 * float(geom.k2.max()) + abs(lam)
     for _ in range(21):
@@ -324,6 +335,7 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
         lam, target = 0.0, lambda_or_L0
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    _check_closed(initial)
     cur = _resample_uniform(initial, initial.n_points)
     if mode == "fixed-length":
         cur = DiscreteCurve(cur.points * (target / cur.length()), closed=True)

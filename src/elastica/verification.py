@@ -132,8 +132,7 @@ def criterion_quantization_ladder() -> CriterionResult:
 
 
 def criterion_flow(n_seeds: int = _FLOW_SEEDS) -> CriterionResult:
-    config = flow.FlowConfig(dt=2e-3, tol_velocity=1e-4, max_steps=50_000,
-                             embed_check_every=50)
+    config = flow.FlowConfig()
     checks = []
     worst_round = 0.0
     worst_rad_fl = 0.0

@@ -69,7 +69,7 @@ def test_energy_rejects_negative_lambda(tmp_path, capsys):
     assert dispatch(["energy", "--in", str(src), "--lambda", "-1"]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.strip() == "error: lambda must be nonnegative"
+    assert err.strip() == "error: lambda must be finite and nonnegative"
 
 
 def test_flow_trace(tmp_path, capsys):
@@ -236,6 +236,21 @@ def test_flow_rejects_non_positive_L0(tmp_path, capsys):
     assert dispatch(["flow", "--in", str(src), "--mode", "fixed-length", "--L0", "-1",
                      "--steps", "10", "--out", str(trace)]) == EXIT_USAGE
     assert capsys.readouterr().err.strip() == "error: L0 must be finite and positive"
+    assert not trace.exists()
+
+
+def test_flow_rejects_open_curve(tmp_path, capsys):
+    """[TRIVIAL] an open curve exits 2 with the flow's one-line message, not
+    a numpy broadcast error from the remesh."""
+    src = tmp_path / "halfleaf.csv"
+    dispatch(["generate", "half-leaf", "--n", "64", "--out", str(src)])
+    capsys.readouterr()
+    trace = tmp_path / "t.csv"
+    assert dispatch(["flow", "--in", str(src), "--mode", "fixed-length",
+                     "--out", str(trace)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: elastic flow runs on closed curves"]
     assert not trace.exists()
 
 

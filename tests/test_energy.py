@@ -87,10 +87,15 @@ def test_e_lambda_rejects_negative_lambda():
         energy.e_lambda(curves.circle(2, 1.0, 64), -1.0)
 
 
-def test_energy_report_rejects_negative_lambda():
-    """[TRIVIAL] report shares e_lambda's domain check."""
-    with pytest.raises(ValueError, match="lambda must be nonnegative"):
-        energy.report(curves.circle(2, 1.0, 64), -1.0)
+@pytest.mark.parametrize("fn, lam", [
+    (energy.report, -1.0), (energy.report, math.nan), (energy.report, math.inf),
+    (energy.e_lambda, math.nan), (energy.e_lambda, math.inf)],
+    ids=["-1.0", "nan", "inf", "e_lambda-nan", "e_lambda-inf"])
+def test_energy_report_rejects_negative_lambda(fn, lam):
+    """[TRIVIAL] report shares e_lambda's domain check, which NaN and inf
+    fail too (e_lambda(circle, nan) used to return nan, and inf inf)."""
+    with pytest.raises(ValueError, match="^lambda must be finite and nonnegative$"):
+        fn(curves.circle(2, 1.0, 64), lam)
 
 
 def test_curvature_convergence_order():

@@ -117,6 +117,14 @@ def test_flow_rejects_open_curves():
         flow.FlowState(curve=seg)
 
 
+def test_run_rejects_open_curves_before_the_remesh():
+    """[TRIVIAL] an open curve fails with the flow's own message, not inside
+    the remesh spline with a numpy broadcast error."""
+    with pytest.raises(ValueError, match="^elastic flow runs on closed curves$"):
+        flow.run(curves.canonical_half_leaf(64), "fixed-length", 1.0,
+                 flow.FlowConfig(max_steps=1))
+
+
 def test_observer_receives_trace_rows():
     """[TRIVIAL] observer callback sees monitoring points."""
     g = perturbed_circle(4, 128, 0.02)
@@ -190,7 +198,7 @@ def _ref_step(state, config):
     n = curve.n_points
     lam = state.lam if state.mode == "fixed-lambda" else _ref_lambda(curve)
     e0 = _ref_energy(curve, lam, state.mode)
-    dt = min(config.dt, 0.25 * (curve.length() / n))
+    dt = config.dt
     vel = _ref_velocity(curve, lam)
     kappa, _ = curvature_vectors(curve)
     sigma = 2.0 * float(np.einsum("ij,ij->i", kappa, kappa).max()) + abs(lam)
@@ -211,12 +219,18 @@ def _ref_step(state, config):
     raise RuntimeError("step failure: energy increased after 20 dt halvings")
 
 
-@pytest.mark.parametrize("mode", ["fixed-lambda", "fixed-length"])
-def test_step_matches_reference_bit_for_bit(mode):
+@pytest.mark.parametrize("mode, dt", [
+    pytest.param("fixed-lambda", 2e-3, id="fixed-lambda"),
+    pytest.param("fixed-length", 2e-3, id="fixed-length"),
+    # dt above 0.25 h (about 6e-3 here): an h-proportional cap would bind
+    pytest.param("fixed-lambda", 1e-2, id="fixed-lambda-dt-above-h-cap"),
+    pytest.param("fixed-length", 1e-2, id="fixed-length-dt-above-h-cap")])
+def test_step_matches_reference_bit_for_bit(mode, dt):
     """[DERIVED] the one-geometry-pass step reproduces the reference step's
-    points and times exactly over 50 steps at n=256."""
+    points and times exactly over 50 steps at n=256; every step starts from
+    config.dt."""
     g = perturbed_circle(6, 256, 0.05)
-    config = flow.FlowConfig(dt=2e-3)
+    config = flow.FlowConfig(dt=dt)
     new = ref = flow.FlowState(curve=g, lam=0.5, mode=mode)
     for _ in range(50):
         new = flow.step(new, config)
