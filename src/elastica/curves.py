@@ -44,8 +44,44 @@ def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
     return np.diff(points, axis=0)
 
 
-def _edge_norms(points: np.ndarray, closed: bool) -> np.ndarray:
-    return np.linalg.norm(_edge_vectors(points, closed), axis=1)
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-column dot products of two (dim, n) arrays, summed over the rows
+    in order: a[0]*b[0] + a[1]*b[1] + ...  For a = b this is the order in
+    which `np.linalg.norm(..., axis=1)` sums the squares of an (n, dim) array;
+    `np.einsum` sums three or more terms in another order."""
+    p = a * b
+    s = p[0]
+    for i in range(1, len(p)):
+        s = s + p[i]
+    return s
+
+
+def _edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
+    """Edge lengths of the polygon whose coordinates are the rows of a
+    (dim, n) array, closing edge last for closed curves: the bits of
+    `np.linalg.norm(edge_vectors, axis=1)`.  An edge too long for a float
+    comes out as inf, without a numpy warning."""
+    if closed:
+        ahead = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1)
+        behind = rows
+    else:
+        ahead, behind = rows[:, 1:], rows[:, :-1]
+    with np.errstate(over="ignore"):
+        e = ahead - behind
+        return np.sqrt(_dot_rows(e, e))
+
+
+def _checked_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
+    """`_edge_norms` of (dim, n) coordinate rows that every curve must have:
+    finite, with distinct consecutive points and finite edge lengths."""
+    if not np.isfinite(rows).all():
+        raise ValueError("non-finite coordinates")
+    h = _edge_norms(rows, closed)
+    if h.min() == 0.0:
+        raise ValueError("consecutive points must be distinct")
+    if h.max() == math.inf:
+        raise ValueError("edge length is not finite (coordinates too large)")
+    return h
 
 
 @dataclass(frozen=True)
@@ -55,7 +91,7 @@ class DiscreteCurve:
     Closed curves are interpreted cyclically (no duplicated endpoint).
     Points and edge lengths are stored read-only; curves are safe to share.
     The edge lengths are computed once, by the constructor's check that
-    consecutive points are distinct.
+    consecutive points are distinct and their distances finite.
     """
 
     points: np.ndarray
@@ -67,15 +103,11 @@ class DiscreteCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
             raise ValueError("need at least 3 points in R^n, n >= 2")
-        if not np.isfinite(pts).all():
-            raise ValueError("non-finite coordinates")
         if self.vertex_marks is not None and not all(
                 isinstance(m, (int, np.integer)) and not isinstance(m, bool)
                 and 0 <= m < pts.shape[0] for m in self.vertex_marks):
             raise ValueError(f"vertex_marks must be integers in [0, {pts.shape[0]})")
-        h = _edge_norms(pts, self.closed)
-        if np.any(h == 0.0):
-            raise ValueError("consecutive points must be distinct")
+        h = _checked_edge_norms(pts.T, self.closed)
         pts = pts.copy()
         pts.setflags(write=False)
         h.setflags(write=False)

@@ -43,6 +43,22 @@ def _edges(curve: DiscreteCurve):
     return h
 
 
+def _curvature_rows(X: np.ndarray, h: np.ndarray, closed: bool):
+    """`curvature_vectors` on coordinate rows: X is (dim, n), h the edge
+    lengths; returns kappa as (dim, m) rows and the m weights."""
+    if closed:
+        # wrap one node (and one edge) around, so both cases read the stencil
+        # off consecutive slices
+        X = np.concatenate([X[:, -1:], X, X[:, :1]], axis=1)
+        h = np.concatenate([h[-1:], h])
+    # unit edge vectors: the stencil's (p_next - p) / h_next is t[:, 1:] and
+    # its (p - p_prev) / h_prev is t[:, :-1]
+    t = (X[:, 1:] - X[:, :-1]) / h
+    span = h[:-1] + h[1:]
+    kappa = 2.0 / span * (t[:, 1:] - t[:, :-1])
+    return kappa, 0.5 * span
+
+
 def curvature_vectors(curve: DiscreteCurve):
     """Discrete curvature vectors and integration weights.
 
@@ -51,20 +67,8 @@ def curvature_vectors(curve: DiscreteCurve):
     their two end nodes) and weights are the half-sums of adjacent edge
     lengths.
     """
-    pts = curve.points
-    h = _edges(curve)
-    if curve.closed:
-        # wrap one node (and one edge) around, so both cases read the stencil
-        # off consecutive slices
-        pts = np.concatenate([pts[-1:], pts, pts[:1]])
-        h = np.concatenate([h[-1:], h])
-    p_prev, p, p_next = pts[:-2], pts[1:-1], pts[2:]
-    h_prev, h_next = h[:-1], h[1:]
-    kappa = 2.0 / (h_prev + h_next)[:, None] * (
-        (p_next - p) / h_next[:, None] - (p - p_prev) / h_prev[:, None]
-    )
-    weights = 0.5 * (h_prev + h_next)
-    return kappa, weights
+    kappa, weights = _curvature_rows(curve.points.T, _edges(curve), curve.closed)
+    return kappa.T.copy(), weights
 
 
 def length(curve: DiscreteCurve) -> float:

@@ -19,9 +19,22 @@ the periodic cubic spline through the trial polygon; the spline is solved
 here (one LAPACK `gtsv` tridiagonal solve), to the bit as scipy's
 `CubicSpline` with periodic ends would give it, without importing
 `scipy.interpolate`.  Building a `FlowState` makes its curve's one geometry
-pass (one `curvature_vectors` call), which the energy test, the next step and
-the monitoring read, and its edge lengths are the ones `DiscreteCurve`
-computed when it checked the points.
+pass (one evaluation of the curvature kernel that `energy.curvature_vectors`
+wraps), which the energy test, the next step and the monitoring read, and its
+edge lengths are the ones `DiscreteCurve` computed when it checked the points.
+
+A step computes on coordinate rows: the points, kappa, lap_n kappa and the
+velocity are C-contiguous (dim, n) arrays, so that every numpy operation runs
+one long loop per coordinate instead of n loops of length dim, and per-node
+dot products and norms are row sums taken in coordinate order.  The implicit
+step's output is checked as raw rows (finite, consecutive points distinct),
+and only the remeshed candidate of a trial becomes a `DiscreteCurve`.  In the
+plane every result is bit for bit the one of the same arithmetic on (n, dim)
+arrays.  In dimension 3 and up `np.einsum` would add the per-node products in
+another order, so flows there differ from that by round-off, which the
+explicit fourth difference magnifies like h^-4 (1e-11 in the final points of
+a converged n=256 flow, 2e-9 at n=1024).  The public `velocity_field`,
+`normal_laplacian_kappa` and `lambda_fixed_length` return (n, dim) arrays.
 
 `FlowConfig` has four knobs: the time step `dt`, the stationarity
 threshold `tol_velocity` on the max node speed, the step budget `max_steps`,
@@ -32,13 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .curves import DiscreteCurve, _edge_norms, is_embedded
-from .energy import curvature_vectors
+from .curves import DiscreteCurve, _checked_edge_norms, _dot_rows, _edge_norms, is_embedded
+from .energy import _curvature_rows, _edges
 
 __all__ = [
     "FlowConfig",
@@ -66,10 +79,12 @@ class FlowConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not all(math.isfinite(v) and v > 0 for v in (
-                self.dt, self.tol_velocity, self.max_steps, self.embed_check_every)):
-            raise ValueError("FlowConfig dt, tol_velocity, max_steps "
-                             "and embed_check_every must be finite and positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.tol_velocity)):
+            raise ValueError("FlowConfig dt and tol_velocity must be finite and positive")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                   for v in (self.max_steps, self.embed_check_every)):
+            raise ValueError("FlowConfig max_steps and embed_check_every "
+                             "must be integers >= 1")
 
 
 def _check_closed(curve: DiscreteCurve) -> None:
@@ -127,8 +142,10 @@ class FlowStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Everything the flow reads off one curve, from one curvature pass."""
+    """Everything the flow reads off one curve, from one curvature pass.
+    Node vectors are C-contiguous (dim, n) coordinate rows."""
 
+    X: np.ndarray       # the points
     kappa: np.ndarray
     w: np.ndarray       # half-edge node weights
     k2: np.ndarray      # |kappa|^2 per node
@@ -137,12 +154,12 @@ class _Geometry:
     L: float
 
     def velocity(self, lam: float) -> np.ndarray:
-        return -self.lap - 0.5 * self.k2[:, None] * self.kappa + lam * self.kappa
+        return -self.lap - 0.5 * self.k2 * self.kappa + lam * self.kappa
 
     def lambda_fixed_length(self) -> float:
         if self.B < 1e-14:
             raise ValueError("zero curvature: fixed-length multiplier undefined")
-        lap_k = np.einsum("ij,ij->i", self.lap, self.kappa)
+        lap_k = _dot_rows(self.lap, self.kappa)
         return float(np.sum((lap_k + 0.5 * self.k2 * self.k2) * self.w)) / self.B
 
     def energy(self, lam: float, mode: str) -> float:
@@ -152,28 +169,29 @@ class _Geometry:
 
 
 def _cyclic_pad(a: np.ndarray, k: int) -> np.ndarray:
-    """a with its last k rows put before it and its first k rows after it, so
-    that cyclic stencils read off consecutive slices."""
-    return np.concatenate([a[-k:], a, a[:k]])
+    """Rows a with their last k columns put before them and their first k
+    columns after them, so that cyclic stencils read off consecutive slices."""
+    return np.concatenate([a[:, -k:], a, a[:, :k]], axis=1)
 
 
 def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
                               T: np.ndarray) -> np.ndarray:
     f = _cyclic_pad(field_vals, 1)
-    d = (f[2:] - f[:-2]) / span[:, None]
-    return d - np.einsum("ij,ij->i", d, T)[:, None] * T
+    d = (f[:, 2:] - f[:, :-2]) / span
+    return d - _dot_rows(d, T) * T
 
 
 def _geometry(curve: DiscreteCurve) -> _Geometry:
-    kappa, w = curvature_vectors(curve)
-    p = _cyclic_pad(curve.points, 1)
-    chords = p[2:] - p[:-2]
-    T = chords / np.linalg.norm(chords, axis=1)[:, None]
+    X = curve.points.T.copy()
+    kappa, w = _curvature_rows(X, _edges(curve), True)
+    p = _cyclic_pad(X, 1)
+    chords = p[:, 2:] - p[:, :-2]
+    T = chords / np.sqrt(_dot_rows(chords, chords))
     # h_{i-1} + h_i: w is their half-sum, and halving and doubling are exact
     span = 2.0 * w
     lap = _cyclic_normal_derivative(_cyclic_normal_derivative(kappa, span, T), span, T)
-    k2 = np.einsum("ij,ij->i", kappa, kappa)
-    return _Geometry(kappa=kappa, w=w, k2=k2, lap=lap,
+    k2 = _dot_rows(kappa, kappa)
+    return _Geometry(X=X, kappa=kappa, w=w, k2=k2, lap=lap,
                      B=float(np.sum(k2 * w)), L=curve.length())
 
 
@@ -181,12 +199,12 @@ def normal_laplacian_kappa(curve: DiscreteCurve) -> np.ndarray:
     """Discrete normal second derivative of the curvature vector: the
     arclength derivative is taken twice, projecting onto the normal space
     after each stage."""
-    return _geometry(curve).lap
+    return _geometry(curve).lap.T.copy()
 
 
 def velocity_field(curve: DiscreteCurve, lam: float) -> np.ndarray:
     """-lap_n kappa - (1/2)|kappa|^2 kappa + lambda kappa at every node."""
-    return _geometry(curve).velocity(lam)
+    return _geometry(curve).velocity(lam).T.copy()
 
 
 def lambda_fixed_length(curve: DiscreteCurve) -> float:
@@ -197,9 +215,10 @@ def lambda_fixed_length(curve: DiscreteCurve) -> float:
     return _geometry(curve).lambda_fixed_length()
 
 
-def _uniform_arclength(pts: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+def _uniform_arclength(rows: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """n points at uniform arclength on the periodic cubic spline through the
-    closed polygon pts (edge lengths h), knots at its cumulative arclength.
+    closed polygon with (dim, m) coordinate rows (edge lengths h), knots at
+    its cumulative arclength, as (dim, n) rows.
 
     The spline is scipy's `CubicSpline(..., bc_type="periodic")`, computed
     here operation for operation, so the points agree with it to the bit: the
@@ -209,52 +228,60 @@ def _uniform_arclength(pts: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     evaluated in `PPoly`'s order."""
     from scipy.linalg.lapack import dgtsv   # here, to keep it out of the CLI's import
 
-    m, dim = pts.shape   # m intervals, slopes s_0..s_{m-1}, s_m = s_0
-    x = np.concatenate([[0.0], np.cumsum(h)])
-    dx = np.diff(x)
+    dim, m = rows.shape   # m intervals, slopes s_0..s_{m-1}, s_m = s_0
+    x = np.empty(m + 1)
+    x[0] = 0.0
+    np.cumsum(h, out=x[1:])
+    dx = x[1:] - x[:-1]
     if not (dx > 0.0).all():
         raise ValueError("arclength knots must be strictly increasing")
-    y = np.concatenate([pts, pts[:1]])
-    slope = np.diff(y, axis=0) / dx[:, None]
+    y = np.concatenate([rows, rows[:, :1]], axis=1)
+    slope = (y[:, 1:] - y[:, :-1]) / dx
     dxw = np.concatenate([dx[-1:], dx])   # dxw[i] = dx[i - 1], cyclically
-    sw = np.concatenate([slope[-1:], slope])
-    b = 3 * (dxw[1:, None] * sw[:-1] + dxw[:-1, None] * sw[1:])
+    sw = np.concatenate([slope[:, -1:], slope], axis=1)
+    b = 3 * (dxw[1:] * sw[:, :-1] + dxw[:-1] * sw[:, 1:])
     # row i couples s_{i-1}, s_i, s_{i+1}; rows 0..m-2 with s_{m-1} moved
-    # into the extra column, row m-1 closes the system
-    rhs = np.zeros((m - 1, dim + 1), order="F")
-    rhs[:, :dim] = b[:-1]
-    rhs[0, dim] = -dx[0]
-    rhs[-1, dim] = -dx[-3]
+    # into the extra column, row m-1 closes the system; the right-hand sides
+    # are the rows of rhs, that is the columns of the Fortran-ordered rhs.T
+    rhs = np.zeros((dim + 1, m - 1))
+    rhs[:dim] = b[:, :-1]
+    rhs[dim, 0] = -dx[0]
+    rhs[dim, -1] = -dx[-3]
     # sub-, main and super-diagonal; gtsv overwrites the fresh main diagonal
     # and right-hand side in place, and copies the two views of dx
     _, _, _, sol, info = dgtsv(dx[1:m - 1], 2 * (dxw[:m - 1] + dxw[1:m]), dxw[:m - 2],
-                               rhs, overwrite_d=1, overwrite_b=1)
+                               rhs.T, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
-    s1, s2 = sol[:, :dim], sol[:, dim:]
-    s_last = ((b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+    s1, s2 = sol.T[:dim], sol.T[dim]
+    s_last = ((b[:, -1] - dx[-2] * s1[:, 0] - dx[-1] * s1[:, -1])
               / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-    s = np.empty((m + 1, dim))
-    s[:-2] = s1 + s_last * s2
-    s[-2] = s_last
-    s[-1] = s[0]
-    # Hermite coefficients, highest power first
-    t = (s[:-1] + s[1:] - 2 * slope) / dx[:, None]
-    c0 = t / dx[:, None]
-    c1 = (slope - s[:-1]) / dx[:, None] - t
-    xn = np.linspace(0.0, x[-1], n, endpoint=False)
+    s = np.empty((dim, m + 1))
+    s[:, :-2] = s1 + s_last[:, None] * s2
+    s[:, -2] = s_last
+    s[:, -1] = s[:, 0]
+    # the cubic on interval j: coef[k, :, j] multiplies u^k, one block so
+    # that the nodes pick their intervals with one take
+    coef = np.empty((4, dim, m))
+    coef[0] = rows
+    coef[1] = s[:, :-1]
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    np.divide(t, dx, out=coef[3])
+    np.subtract((slope - s[:, :-1]) / dx, t, out=coef[2])
+    # np.linspace(0, x[-1], n, endpoint=False), to the bit
+    xn = np.arange(n) * (x[-1] / n)
     i = np.searchsorted(x, xn, side="right") - 1
-    u = (xn - x.take(i))[:, None]
+    u = xn - x.take(i)
     u2 = u * u
-    y0, y1, y2, y3 = (c.take(i, axis=0) for c in (pts, s, c1, c0))
+    y0, y1, y2, y3 = coef.reshape(4 * dim, m).take(i, axis=1).reshape(4, dim, n)
     # PPoly sums the powers upwards from 0.0 (which turns -0.0 into +0.0)
     return (((0.0 + y0) + y1 * u) + y2 * u2) + y3 * (u2 * u)
 
 
 def _resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
     """Redistribute nodes to uniform arclength by periodic cubic interpolation."""
-    return DiscreteCurve(_uniform_arclength(curve.points, curve.edge_lengths(), n),
-                         closed=True)
+    rows = _uniform_arclength(curve.points.T, curve.edge_lengths(), n)
+    return DiscreteCurve(rows.T, closed=True)
 
 
 @functools.lru_cache(maxsize=16)
@@ -265,31 +292,30 @@ def _fft_angles(n: int) -> np.ndarray:
     return ang
 
 
-def _implicit_step(pts: np.ndarray, vel: np.ndarray, h: float, dt: float,
+def _implicit_step(X: np.ndarray, vel: np.ndarray, h: float, dt: float,
                    sigma: float) -> np.ndarray:
-    """One stabilized IMEX step.
+    """One stabilized IMEX step of the (dim, n) coordinate rows X.
 
     The linear fourth-order leading term and a second-order shift of strength
     sigma (covering the explicit curvature-coefficient terms) are folded in
     implicitly via circulant symbols; stationary states are unchanged because
     the shift is added and subtracted."""
-    n = pts.shape[0]
+    n = X.shape[1]
     ang = _fft_angles(n)
     sym = ang**2 / h**4 + sigma * ang / h**2
-    p = _cyclic_pad(pts, 2)   # p[i + 2] = pts[i]
-    d4 = (p[4:] - 4.0 * p[3:-1] + 6.0 * pts - 4.0 * p[1:-3] + p[:-4]) / h**4
-    d2 = (p[3:-1] - 2.0 * pts + p[1:-3]) / h**2
-    rhs = pts + dt * (vel + d4 - sigma * d2)
+    p = _cyclic_pad(X, 2)   # p[:, i + 2] = X[:, i]
+    d4 = (p[:, 4:] - 4.0 * p[:, 3:-1] + 6.0 * X - 4.0 * p[:, 1:-3] + p[:, :-4]) / h**4
+    d2 = (p[:, 3:-1] - 2.0 * X + p[:, 1:-3]) / h**2
+    rhs = X + dt * (vel + d4 - sigma * d2)
     denom = 1.0 + dt * sym
-    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / denom[:, None], n=n, axis=0)
+    return np.fft.irfft(np.fft.rfft(rhs, axis=1) / denom, n=n, axis=1)
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one accepted time step: try config.dt, halve it on an energy
     increase beyond the slack, FlowStepError after 20 halvings."""
-    curve = state.curve
-    n = curve.n_points
     geom = state._geom
+    n = geom.X.shape[1]
     lam = _step_lambda(state)
     e0 = geom.energy(lam, state.mode)
     h = geom.L / n
@@ -297,14 +323,16 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     vel = geom.velocity(lam)
     sigma = 2.0 * float(geom.k2.max()) + abs(lam)
     for _ in range(21):
-        trial = DiscreteCurve(_implicit_step(curve.points, vel, h, dt, sigma), closed=True)
-        pts = _uniform_arclength(trial.points, trial.edge_lengths(), n)
+        Y = _implicit_step(geom.X, vel, h, dt, sigma)
+        Z = _uniform_arclength(Y, _checked_edge_norms(Y, True), n)
         if state.mode == "fixed-length":
-            sc = state.target_length / float(_edge_norms(pts, True).sum())
-            centroid = pts.mean(axis=0)
-            pts = centroid + sc * (pts - centroid)
-        new_state = replace(state, curve=DiscreteCurve(pts, closed=True),
-                            time=state.time + dt, lam=lam)
+            sc = state.target_length / float(_edge_norms(Z, True).sum())
+            # the sum in order along each row, as pts.mean(axis=0) sums the
+            # columns of (n, dim) points
+            centroid = np.cumsum(Z, axis=1)[:, -1:] / n
+            Z = centroid + sc * (Z - centroid)
+        new_state = FlowState(DiscreteCurve(Z.T, closed=True), time=state.time + dt,
+                              lam=lam, mode=state.mode, target_length=state.target_length)
         if new_state._geom.energy(lam, state.mode) <= e0 + _ENERGY_SLACK * max(1.0, abs(e0)):
             return new_state
         dt *= 0.5
@@ -360,7 +388,8 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
         if (i + 1) % config.embed_check_every == 0:
             _observe(state, lam)
         if (i + 1) % 10 == 0 or i == config.max_steps - 1:
-            vmax = float(np.linalg.norm(state._geom.velocity(lam), axis=1).max())
+            v = state._geom.velocity(lam)
+            vmax = math.sqrt(float(_dot_rows(v, v).max()))
             if vmax < config.tol_velocity:
                 converged = True
                 break

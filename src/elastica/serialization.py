@@ -74,10 +74,63 @@ def _curve_block(curve: DiscreteCurve, generator: Optional[str], parameters: Opt
     return block
 
 
-def _curve_from_block(block) -> DiscreteCurve:
-    points = np.array([[float(v) for v in row] for row in block["points"]])
+def _field(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
+def _number(value, key: str, where: str) -> float:
+    """A JSON number, or a string that `float` reads (as the writers emit)."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{where}: key {key!r} holds {value!r}, not a number")
+
+
+def _vector(value, key: str, where: str, size: int) -> np.ndarray:
+    if not (isinstance(value, list) and len(value) == size):
+        raise ValueError(f"{where}: key {key!r} must be a list of {size} numbers")
+    return np.array([_number(v, key, where) for v in value], dtype=float)
+
+
+def _rows(value, key: str, where: str, count: Optional[int] = None) -> np.ndarray:
+    """A list of (count, if given) equal-length lists of numbers, as a float
+    array."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and len({len(row) for row in value}) <= 1 and count in (None, len(value))):
+        what = "" if count is None else f"{count} "
+        raise ValueError(f"{where}: key {key!r} must be a list of {what}"
+                         "equal-length lists of numbers")
+    return np.array([[_number(v, key, where) for v in row] for row in value], dtype=float)
+
+
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _read_json(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    return _object(doc, str(path))
+
+
+def _curve_from_block(block, where: str) -> DiscreteCurve:
+    block = _object(block, where)
+    points = _rows(_field(block, "points", where), "points", where)
+    closed = _field(block, "closed", where)
+    if not isinstance(closed, bool):
+        raise ValueError(f"{where}: key 'closed' must be true or false")
     marks = block.get("vertex_marks")
-    return DiscreteCurve(points, closed=bool(block["closed"]),
+    if marks is not None and not isinstance(marks, list):
+        raise ValueError(f"{where}: key 'vertex_marks' must be a list of integers")
+    return DiscreteCurve(points, closed=closed,
                          vertex_marks=None if marks is None else tuple(marks))
 
 
@@ -91,10 +144,10 @@ def curve_to_json(curve: DiscreteCurve, path, generator: Optional[str] = None,
 
 
 def curve_from_json(path) -> DiscreteCurve:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path)
     if doc.get("kind") != "curve":
         raise ValueError(f"{path}: not a curve document")
-    return _curve_from_block(doc)
+    return _curve_from_block(doc, str(path))
 
 
 def network_to_json(net: ThetaNetwork, path, generator: Optional[str] = None,
@@ -117,21 +170,28 @@ def network_to_json(net: ThetaNetwork, path, generator: Optional[str] = None,
 
 
 def network_from_json(path) -> ThetaNetwork:
-    doc = json.loads(Path(path).read_text())
+    where = str(path)
+    doc = _read_json(path)
     if doc.get("kind") != "theta-network":
         raise ValueError(f"{path}: not a theta-network document")
-
-    def _mat(key):
+    blocks = _field(doc, "curves", where)
+    if not isinstance(blocks, list) or len(blocks) != 3:
+        raise ValueError(f"{where}: key 'curves' must be a list of 3 curve blocks")
+    curves = tuple(_curve_from_block(b, f"{where}: curves[{i}]") for i, b in enumerate(blocks))
+    dim = curves[0].dimension
+    if any(c.dimension != dim for c in curves):
+        raise ValueError(f"{where}: key 'curves' holds curves of different dimensions")
+    tangents = {}
+    for key in ("start_tangents", "end_tangents"):
         rows = doc.get(key)
-        if rows is None:
-            return None
-        return np.array([[float(v) for v in row] for row in rows])
-
+        tangents[key] = None if rows is None else _rows(rows, key, where, count=3)
+        if rows is not None and tangents[key].shape[1] != dim:
+            raise ValueError(f"{where}: key {key!r} must hold vectors of dimension {dim}")
     return ThetaNetwork(
-        curves=tuple(_curve_from_block(b) for b in doc["curves"]),
-        junction_a=np.array([float(v) for v in doc["junction_a"]]),
-        junction_b=np.array([float(v) for v in doc["junction_b"]]),
-        angle_spec=tuple(float(a) for a in doc["angle_spec"]),
-        start_tangents=_mat("start_tangents"),
-        end_tangents=_mat("end_tangents"),
+        curves=curves,
+        junction_a=_vector(_field(doc, "junction_a", where), "junction_a", where, dim),
+        junction_b=_vector(_field(doc, "junction_b", where), "junction_b", where, dim),
+        angle_spec=tuple(_vector(_field(doc, "angle_spec", where), "angle_spec", where, 3)
+                         .tolist()),
+        **tangents,
     )

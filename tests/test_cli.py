@@ -6,6 +6,7 @@ Tags: [TRIVIAL] direct checks of invented plumbing.
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -146,6 +147,90 @@ def test_non_finite_csv_is_rejected(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.strip() == "error: non-finite coordinates"
+
+
+def test_overflowing_csv_is_rejected(tmp_path, capsys):
+    """[TRIVIAL] finite coordinates near 1e300, whose edge lengths overflow,
+    exit 2 with one line and no numpy warning, and print no JSON."""
+    src = tmp_path / "big.csv"
+    src.write_text("2,1\n1e300,0\n-1e300,1e300\n0,-1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["energy", "--in", str(src)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: edge length is not finite (coordinates too large)"]
+
+
+_GOOD_CURVE = {"kind": "curve", "dim": 2, "closed": True,
+               "points": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("energy", {"kind": "curve", "closed": True}, "'points'"),
+    ("energy", [1, 2], "JSON object"),
+    ("energy", {**_GOOD_CURVE, "points": 5}, "'points'"),
+    ("energy", {**_GOOD_CURVE, "points": [[0, 0], [1], [1, 1]]}, "'points'"),
+    ("energy", {**_GOOD_CURVE, "points": [[0, 0], [1, "x"], [1, 1]]}, "'points'"),
+    ("energy", {**_GOOD_CURVE, "points": [[0, 0], [1, True], [1, 1]]}, "'points'"),
+    ("energy", {**_GOOD_CURVE, "points": [[0, 0], [1, {}], [1, 1]]}, "'points'"),
+    ("energy", {**_GOOD_CURVE, "closed": "yes"}, "'closed'"),
+    ("energy", {k: v for k, v in _GOOD_CURVE.items() if k != "closed"}, "'closed'"),
+    ("energy", {**_GOOD_CURVE, "vertex_marks": 5}, "'vertex_marks'"),
+    ("network", {"kind": "theta-network"}, "'curves'"),
+    ("network", {"kind": "theta-network", "curves": 5}, "'curves'"),
+    ("network", {"kind": "theta-network", "curves": [_GOOD_CURVE] * 2}, "'curves'"),
+    ("network", {"kind": "theta-network", "curves": [1, 2, 3]}, "curves[0]"),
+])
+def test_malformed_json_documents_are_rejected(command, doc, key, tmp_path, capsys):
+    """[TRIVIAL] a JSON document of the wrong shape exits 2 with one stderr
+    line that names the offending key, and prints no JSON."""
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    argv = ["energy", "--in", str(src)] if command == "energy" else \
+        ["network", "energy", "--in", str(src)]
+    assert dispatch(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("command", ["energy", "network energy"])
+def test_deeply_nested_json_is_rejected(command, tmp_path, capsys):
+    """[TRIVIAL] nesting too deep for the JSON decoder exits 2 with one line,
+    not a RecursionError traceback."""
+    src = tmp_path / "deep.json"
+    src.write_text('{"kind": "curve", "closed": true, "points": '
+                   + "[" * 100_000 + "]" * 100_000 + "}")
+    assert dispatch([*command.split(), "--in", str(src)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {src}: JSON nested too deeply"]
+
+
+def test_json_curve_points_may_be_numbers_or_numeric_strings(tmp_path, capsys):
+    """[TRIVIAL] the reader takes JSON numbers as well as the strings the
+    writer emits."""
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps({**_GOOD_CURVE, "points": [[0, 0], ["1", 0.0], [1, "1"], [0, 1]]}))
+    assert dispatch(["energy", "--in", str(src)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["length"] == 4.0
+
+
+def test_malformed_network_fields_are_rejected(tmp_path, capsys):
+    """[TRIVIAL] a written network with one field spoiled at a time exits 2
+    with one line naming that field."""
+    net = tmp_path / "net.json"
+    assert dispatch(["network", "wavelike", "--m", "0.75", "--samples", "64",
+                     "--out", str(net)]) == EXIT_OK
+    good = json.loads(net.read_text())
+    for key, value in (("junction_a", "0"), ("junction_b", [0.0]), ("angle_spec", [1.0]),
+                       ("start_tangents", [[1.0, 0.0]]), ("end_tangents", [[1.0]] * 3)):
+        net.write_text(json.dumps({**good, key: value}))
+        capsys.readouterr()
+        assert dispatch(["network", "energy", "--in", str(net)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and repr(key) in err
 
 
 def test_out_of_range_vertex_mark_is_rejected(tmp_path, capsys):

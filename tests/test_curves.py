@@ -6,6 +6,7 @@ Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -344,3 +345,31 @@ def test_edge_lengths_are_cached_read_only(closed):
               replace(c, points=3.0 * c.points)):
         assert d.edge_lengths().tobytes() == np.linalg.norm(d.edge_vectors(), axis=1).tobytes()
         assert d.edge_lengths().tobytes() != h.tobytes()
+
+
+@given(dim=st.integers(2, 4), closed=st.booleans(), n=st.integers(3, 40),
+       seed=st.integers(0, 2**32 - 1), lo=st.integers(-150, 150), span=st.integers(0, 300))
+def test_edge_norms_equal_linalg_norm_bitwise(dim, closed, n, seed, lo, span):
+    """[DERIVED] the column-sum edge norms of (dim, n) rows are the bits of
+    np.linalg.norm(edge_vectors, axis=1), for coordinates whose magnitudes
+    range over 1e-150 .. 1e150, from contiguous rows and from the transpose of
+    (n, dim) points alike."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.uniform(lo, min(150, lo + span), size=(n, dim))
+    pts = rng.standard_normal((n, dim)) * 10.0 ** exponents
+    want = np.linalg.norm(curves._edge_vectors(pts, closed), axis=1).tobytes()
+    assert curves._edge_norms(pts.T, closed).tobytes() == want
+    assert curves._edge_norms(np.ascontiguousarray(pts.T), closed).tobytes() == want
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_discrete_curve_rejects_overflowing_edges_without_warning(closed):
+    """[TRIVIAL] finite coordinates whose distance overflows a float fail
+    with one ValueError line and no numpy warning."""
+    pts = np.array([[1e300, 0.0], [-1e300, 1e300], [0.0, -1e300], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^edge length is not finite"):
+            curves.DiscreteCurve(pts, closed=closed)
+        # large but representable edges pass
+        assert curves.DiscreteCurve(pts * 1e-160, closed=closed).length() < math.inf

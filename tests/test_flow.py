@@ -65,8 +65,9 @@ def test_gradient_consistency_energy_decrement():
     predicted = -float((np.linalg.norm(v, axis=1) ** 2 * w).sum()) * dt
     # the flow's implicit update without the remesh: h = L/n, sigma = 2 max|kappa|^2 + lambda
     sigma = 2.0 * float(np.einsum("ij,ij->i", kappa, kappa).max()) + lam
-    new = curves.DiscreteCurve(
-        flow._implicit_step(g.points, v, g.length() / g.n_points, dt, sigma), closed=True)
+    rows = flow._implicit_step(g.points.T.copy(), v.T.copy(), g.length() / g.n_points,
+                               dt, sigma)
+    new = curves.DiscreteCurve(rows.T, closed=True)
     e1 = 0.5 * bending_energy(new) + lam * length(new)
     assert (e1 - e0) == pytest.approx(predicted, rel=0.1)
 
@@ -239,9 +240,54 @@ def test_step_matches_reference_bit_for_bit(mode, dt):
         assert (new.time, new.lam) == (ref.time, ref.lam)
 
 
+def _spatial_curve(n):
+    """A closed curve in R^3 off every coordinate plane: a perturbed circle
+    lifted by a smooth height."""
+    g = perturbed_circle(6, n, 0.05)
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return curves.DiscreteCurve(np.column_stack([g.points, 0.1 * np.sin(3.0 * t + 0.5)]),
+                                closed=True)
+
+
+@pytest.mark.parametrize("mode", ["fixed-lambda", "fixed-length"])
+def test_step_matches_reference_in_3d(mode):
+    """[DERIVED] in R^3 the coordinate-row step sums each dot product
+    x0*y0 + x1*y1 + x2*y2 in order, where einsum adds the middle term last, so
+    it follows the reference step to round-off (rel 1e-12) over 20 steps,
+    with the same times and multipliers to the same tolerance.  The explicit
+    fourth difference magnifies round-off like h^-4: the gap after 20 steps
+    is about 2e-13 at n=128 and 2e-12 at n=256."""
+    config = flow.FlowConfig()
+    new = ref = flow.FlowState(curve=_spatial_curve(128), lam=0.5, mode=mode)
+    for _ in range(20):
+        new = flow.step(new, config)
+        ref = _ref_step(ref, config)
+        scale = np.abs(ref.curve.points).max()
+        assert np.abs(new.curve.points - ref.curve.points).max() <= 1e-12 * scale
+        assert new.time == ref.time
+        assert new.lam == pytest.approx(ref.lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 256])
+def test_geometry_rows_match_curvature_vectors_and_reference(n):
+    """[DERIVED] in the plane the (dim, n) geometry pass equals, bit for bit,
+    `energy.curvature_vectors` (transposed) and the reference functions above."""
+    g = perturbed_circle(9, n, 0.05) if n > 5 else curves.circle(2, 1.5, n)
+    geom = flow._geometry(g)
+    kappa, w = curvature_vectors(g)
+    assert geom.X.flags.c_contiguous and geom.X.T.tobytes() == g.points.tobytes()
+    assert geom.kappa.flags.c_contiguous and geom.kappa.T.tobytes() == kappa.tobytes()
+    assert geom.w.tobytes() == w.tobytes()
+    assert geom.lap.flags.c_contiguous and geom.lap.T.tobytes() == _ref_lap(g).tobytes()
+    assert flow.normal_laplacian_kappa(g).tobytes() == _ref_lap(g).tobytes()
+    assert flow.velocity_field(g, 0.5).tobytes() == _ref_velocity(g, 0.5).tobytes()
+    assert flow.lambda_fixed_length(g) == _ref_lambda(g)
+    assert geom.B == bending_energy(g)
+
+
 def test_run_evaluates_curvature_once_per_trial(monkeypatch):
-    """[TRIVIAL] one flow.run calls curvature_vectors at most once per trial
-    step plus once at the start."""
+    """[TRIVIAL] one flow.run makes the geometry pass (the one curvature
+    evaluation) at most once per trial step plus once at the start."""
     counts = {"curvature": 0, "trials": 0, "steps": 0}
 
     def counted(name, fn):
@@ -250,8 +296,7 @@ def test_run_evaluates_curvature_once_per_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(flow, "curvature_vectors",
-                        counted("curvature", flow.curvature_vectors))
+    monkeypatch.setattr(flow, "_geometry", counted("curvature", flow._geometry))
     monkeypatch.setattr(flow, "_implicit_step", counted("trials", flow._implicit_step))
     monkeypatch.setattr(flow, "step", counted("steps", flow.step))
     g = perturbed_circle(8, 256, 0.05)
@@ -276,9 +321,13 @@ def test_step_failure_raises_flow_step_error(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("dt", math.nan), ("dt", math.inf), ("dt", -1e-3), ("tol_velocity", math.nan),
-    ("tol_velocity", math.inf), ("max_steps", 0), ("embed_check_every", math.nan)])
+    ("tol_velocity", math.inf), ("max_steps", 0), ("embed_check_every", math.nan),
+    ("max_steps", 1.5), ("max_steps", True), ("max_steps", 2.0), ("embed_check_every", 0.5),
+    ("embed_check_every", 0), ("embed_check_every", False)])
 def test_flow_config_rejects_out_of_domain_values(field, value):
-    """[TRIVIAL] NaN, infinite and negative parameters fail at construction."""
+    """[TRIVIAL] NaN, infinite and negative parameters fail at construction;
+    the step budget and the monitoring cadence are integers >= 1, not floats
+    or bools."""
     with pytest.raises(ValueError, match="FlowConfig"):
         flow.FlowConfig(**{field: value})
 
