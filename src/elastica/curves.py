@@ -142,6 +142,26 @@ class DiscreteCurve:
         return DiscreteCurve(pts, closed=self.closed, vertex_marks=self.vertex_marks)
 
 
+def _check_tangent_chain(t, closed: bool) -> np.ndarray:
+    """t as a read-only float (k, n) copy, after checking that its rows are
+    unit vectors (to 1e-12) and that each consecutive pair, the last and the
+    first too when closed, meets at the angle 2 phi* (cosines to 1e-10)."""
+    t = np.array(t, dtype=float)
+    if t.ndim != 2 or t.shape[0] < 1:
+        raise ValueError("tangents must be a (k, n) array")
+    gram = t @ t.T
+    # the comparisons are written so that NaN fails too
+    if not (np.abs(np.sqrt(gram.diagonal()) - 1.0) <= 1e-12).all():
+        raise ValueError("tangents must be unit vectors to 1e-12")
+    dots = gram.diagonal(1)   # the pairs (i, i + 1), and (k - 1, 0) when closed
+    if closed:
+        dots = np.concatenate([dots, gram[-1:, 0]])
+    if not (np.abs(dots - math.cos(2.0 * constants().phi_star)) <= 1e-10).all():
+        raise ValueError("consecutive tangents must meet at angle 2 phi* to 1e-10")
+    t.setflags(write=False)
+    return t
+
+
 @dataclass(frozen=True)
 class TangentTuple:
     """k unit vectors with cyclic inner products cos(2 phi*): the blueprint
@@ -150,19 +170,7 @@ class TangentTuple:
     omegas: np.ndarray
 
     def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
-        if om.ndim != 2 or om.shape[0] < 1:
-            raise ValueError("omegas must be a (k, n) array")
-        norms = np.linalg.norm(om, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("tangent tuple vectors must be unit to 1e-12")
-        target = math.cos(2.0 * constants().phi_star)
-        dots = np.einsum("ij,ij->i", om, np.roll(om, 1, axis=0))
-        if np.any(np.abs(dots - target) > 1e-10):
-            raise ValueError("cyclic tangent angles must equal 2 phi* to 1e-10")
-        om = om.copy()
-        om.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
+        object.__setattr__(self, "omegas", _check_tangent_chain(self.omegas, closed=True))
 
     @property
     def dimension(self) -> int:
@@ -184,14 +192,13 @@ class LeafedElasticaSpec:
     leaf_length: float = 1.0
 
     def __post_init__(self):
-        t = np.asarray(self.tangents, dtype=float)
+        t = _check_tangent_chain(self.tangents, self.closed)
         expected = self.k if self.closed else self.k + 1
         if t.shape[0] != expected:
             raise ValueError(f"expected {expected} tangents, got {t.shape[0]}")
-        if self.leaf_length <= 0:
-            raise ValueError("leaf_length must be positive")
-        t = t.copy()
-        t.setflags(write=False)
+        # written so that NaN fails too
+        if not (math.isfinite(self.leaf_length) and self.leaf_length > 0):
+            raise ValueError("leaf_length must be finite and positive")
         object.__setattr__(self, "tangents", t)
 
 
@@ -305,40 +312,24 @@ def _leaf_frame(a: np.ndarray, b: np.ndarray) -> tuple:
     """Orthonormal (u, w) in span{a, b} with the bisector along u and
     a = cos(phi*) u + sin(phi*) w, b = cos(phi*) u - sin(phi*) w."""
     u = a + b
-    nu = np.linalg.norm(u)
     w = a - b
-    nw = np.linalg.norm(w)
-    if nu < 1e-12 or nw < 1e-12:
-        raise ValueError("degenerate tangent pair")
-    return u / nu, w / nw
+    return u / np.linalg.norm(u), w / np.linalg.norm(w)
 
 
 def assemble_leafed(spec: LeafedElasticaSpec, n_samples_per_leaf: int = 128) -> DiscreteCurve:
     """Concatenate rigid-motion copies of the canonical half-leaf, one per
-    tangent pair, all joints at the origin; C^1 at joints by construction."""
-    c = constants()
-    target = math.cos(2.0 * c.phi_star)
+    tangent pair, all joints at the origin; C^1 at joints by construction.
+    The spec's constructor has checked the tangent chain."""
     t = spec.tangents
     n = t.shape[1]
-    pairs = []
-    for i in range(spec.k):
-        a = t[i % t.shape[0]] if spec.closed else t[i]
-        b = t[(i + 1) % t.shape[0]] if spec.closed else t[i + 1]
-        if abs(np.dot(a, b) - target) > 1e-8:
-            raise ValueError(f"tangent chain mismatch at leaf {i}: consecutive tangents "
-                             "must make angle 2 phi*")
-        pairs.append((a, b))
-    if spec.closed and abs(np.dot(t[-1], t[0]) - target) > 1e-8:
-        raise ValueError("closed spec does not return to the start tangent")
-
     leaf = canonical_half_leaf(n_samples_per_leaf)
     scale = spec.leaf_length / leaf_reference_length()
     xy = leaf.points * scale
     pieces = []
     marks = []
     offset = 0
-    for a, b in pairs:
-        u, w = _leaf_frame(a, b)
+    for i in range(spec.k):
+        u, w = _leaf_frame(t[i], t[(i + 1) % len(t)])
         pts = np.outer(xy[:, 0], u) + np.outer(xy[:, 1], w)
         # joints exactly at the origin
         pts[0] = 0.0
@@ -365,41 +356,20 @@ def propeller_curve(n_samples_per_leaf: int = 256, leaf_length: float = 1.0) -> 
     return assemble_leafed(spec, n_samples_per_leaf)
 
 
-def propeller_cone_fit_residual() -> float:
-    """Cross-check of the propeller cone angle: solve the 3-vector constraint
-    system by nonlinear least squares and compare against the closed form."""
-    from scipy.optimize import least_squares
-
-    c = constants()
-    target = math.cos(2.0 * c.phi_star)
-
-    def residuals(x):
-        v = x.reshape(3, 3)
-        out = [np.dot(v[i], v[i]) - 1.0 for i in range(3)]
-        out += [np.dot(v[i], v[(i + 1) % 3]) - target for i in range(3)]
-        # gauge fixing: v0 in the xz-plane with positive x, symmetry axis = e3
-        out.append(v[0, 1])
-        out.append(np.dot(v.sum(axis=0), np.array([1.0, 0.0, 0.0])))
-        out.append(np.dot(v.sum(axis=0), np.array([0.0, 1.0, 0.0])))
-        return out
-
-    x0 = np.eye(3).ravel() + 0.3
-    sol = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    v = sol.x.reshape(3, 3)
-    cos_t_fit = abs(v[:, 2].mean())
-    cos_t = math.sqrt((target + 0.5) / 1.5)
-    return abs(cos_t_fit - cos_t)
-
-
 # ---------------------------------------------------------------------------
 # planar closure search
+
+def _check_eps(eps: float) -> None:
+    # written so that NaN fails too
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive")
+
 
 def search_planar_closure(k: int, eps: float) -> list:
     """All sign sequences sigma in {-1,1}^k with sum(sigma) * 2 phi* within
     eps of a multiple of 2 pi.  Empty output for odd k is the numerical
     footprint of the planar nonexistence obstruction."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if k > 25:
         raise ValueError("k > 25 exceeds the 2^k output budget")
     if k < 1:
@@ -439,8 +409,6 @@ def segment(p: np.ndarray, q: np.ndarray, n_samples: int) -> DiscreteCurve:
     """Uniform samples of the straight segment from p to q."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if np.allclose(p, q):
-        raise ValueError("segment endpoints must differ")
     tvals = np.linspace(0.0, 1.0, n_samples)[:, None]
     return DiscreteCurve(p + tvals * (q - p), closed=False)
 
@@ -452,8 +420,7 @@ def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
     """Count maximal clusters of samples within eps of `point`, separated by
     excursions beyond 2 eps.  Clusters are the discrete shadows of preimage
     points, so sampling density does not inflate the count."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     min_edge = curve.edge_lengths().min()
     if eps > 0.5 * min_edge:
         import warnings

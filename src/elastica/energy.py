@@ -33,16 +33,6 @@ __all__ = [
     "report",
 ]
 
-_MIN_EDGE = 1e-14
-
-
-def _edges(curve: DiscreteCurve):
-    h = curve.edge_lengths()
-    if h.min() < _MIN_EDGE:
-        raise ValueError("degenerate edge (length < 1e-14)")
-    return h
-
-
 def _curvature_rows(X: np.ndarray, h: np.ndarray, closed: bool):
     """`curvature_vectors` on coordinate rows: X is (dim, n), h the edge
     lengths; returns kappa as (dim, m) rows and the m weights."""
@@ -67,13 +57,13 @@ def curvature_vectors(curve: DiscreteCurve):
     their two end nodes) and weights are the half-sums of adjacent edge
     lengths.
     """
-    kappa, weights = _curvature_rows(curve.points.T, _edges(curve), curve.closed)
+    kappa, weights = _curvature_rows(curve.points.T, curve.edge_lengths(), curve.closed)
     return kappa.T.copy(), weights
 
 
 def length(curve: DiscreteCurve) -> float:
     """Total edge length."""
-    return float(_edges(curve).sum())
+    return float(curve.edge_lengths().sum())
 
 
 def bending_energy(curve: DiscreteCurve) -> float:

@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import DiscreteCurve, _checked_edge_norms, _dot_rows, _edge_norms, is_embedded
-from .energy import _curvature_rows, _edges
+from .energy import _check_lambda, _curvature_rows
 
 __all__ = [
     "FlowConfig",
@@ -183,7 +183,7 @@ def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
 
 def _geometry(curve: DiscreteCurve) -> _Geometry:
     X = curve.points.T.copy()
-    kappa, w = _curvature_rows(X, _edges(curve), True)
+    kappa, w = _curvature_rows(X, curve.edge_lengths(), True)
     p = _cyclic_pad(X, 1)
     chords = p[:, 2:] - p[:, :-2]
     T = chords / np.sqrt(_dot_rows(chords, chords))
@@ -354,8 +354,7 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
     is called as observer(time, energy, length, roundness, embedded) at every
     monitoring point."""
     if mode == "fixed-lambda":
-        if not math.isfinite(lambda_or_L0):
-            raise ValueError("lambda must be finite")
+        _check_lambda(lambda_or_L0)
         lam, target = lambda_or_L0, 0.0
     elif mode == "fixed-length":
         if not (math.isfinite(lambda_or_L0) and lambda_or_L0 > 0):

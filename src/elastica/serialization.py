@@ -47,17 +47,32 @@ def curve_to_csv(curve: DiscreteCurve, path) -> None:
 
 
 def curve_from_csv(path) -> DiscreteCurve:
-    lines = Path(path).read_text().strip().splitlines()
+    """A curve from a `dim,closed` header (dim an integer >= 2, closed 0 or 1)
+    and rows of dim numbers; a bad line raises naming the file and the line."""
+    text = Path(path).read_text()
+    lines = text.strip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty curve file")
+    # the number of the header line, after the blank lines that strip() dropped
+    first = text[:len(text) - len(text.lstrip())].count("\n") + 1
     head = lines[0].split(",")
-    if len(head) != 2:
-        raise ValueError(f"{path}: expected 'dim,closed' header, got {lines[0]!r}")
-    dim, closed = int(head[0]), bool(int(head[1]))
-    points = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if points.ndim != 2 or points.shape[1] != dim:
-        raise ValueError(f"{path}: point rows do not match declared dimension {dim}")
-    return DiscreteCurve(points, closed=closed)
+    try:
+        dim = int(head[0])
+    except ValueError:
+        dim = 0
+    if len(head) != 2 or dim < 2 or head[1].strip() not in ("0", "1"):
+        raise ValueError(f"{path}: line {first}: expected a 'dim,closed' header with "
+                         f"dim >= 2 and closed 0 or 1, got {lines[0]!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=first + 1):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != dim:
+            raise ValueError(f"{path}: line {number}: expected {dim} numbers, got {line!r}")
+        rows.append(row)
+    return DiscreteCurve(np.array(rows), closed=head[1].strip() == "1")
 
 
 def _curve_block(curve: DiscreteCurve, generator: Optional[str], parameters: Optional[dict]):

@@ -3,13 +3,16 @@
 Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
+import ast
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import elastica
 from elastica import curves, flow, serialization
 from elastica.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, RunManifest,
                           dispatch)
@@ -137,6 +140,50 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded(subprocess_env):
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_src_imports_no_scipy_optimize_integrate_or_interpolate():
+    """[TRIVIAL] no module of the package imports scipy.optimize,
+    scipy.integrate or scipy.interpolate, at the top or inside a function:
+    they cost cold start, and the oracles that use them live in the tests."""
+    banned = {"scipy.optimize", "scipy.integrate", "scipy.interpolate"}
+    found = []
+    for path in sorted(Path(elastica.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert found == []
+
+
+@pytest.mark.parametrize("text, line", [
+    ("2,5\n0,0\n1,0\n0,1\n", 1),          # closed neither 0 nor 1
+    ("2,x\n0,0\n1,0\n0,1\n", 1),
+    ("2.0,1\n0,0\n1,0\n0,1\n", 1),
+    ("1,1\n0\n1\n2\n", 1),
+    ("2\n0,0\n1,0\n0,1\n", 1),
+    ("\n\n2,1,0\n0,0\n1,0\n0,1\n", 3),   # blank lines before the header
+    ("2,1\n0,0\n1,0,0\n0,1\n", 3),         # ragged row
+    ("2,1\n0,0\n1,0\n0,y\n", 4),
+    ("2,1\n0,0\n1\n0,1\n", 3),
+], ids=["closed-5", "closed-x", "float-dim", "dim-1", "no-closed", "after-blank-lines",
+        "ragged-row", "non-numeric-row", "short-row"])
+def test_malformed_csv_is_rejected(text, line, tmp_path, capsys):
+    """[TRIVIAL] a CSV header other than `dim,closed` with closed 0 or 1, or
+    a row that is not dim numbers, exits 2 with one stderr line naming the
+    file and the line, and prints nothing on stdout."""
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    assert dispatch(["energy", "--in", str(src)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {src}: line {line}: expected ")
 
 
 def test_non_finite_csv_is_rejected(tmp_path, capsys):
@@ -321,6 +368,21 @@ def test_flow_rejects_non_positive_L0(tmp_path, capsys):
     assert dispatch(["flow", "--in", str(src), "--mode", "fixed-length", "--L0", "-1",
                      "--steps", "10", "--out", str(trace)]) == EXIT_USAGE
     assert capsys.readouterr().err.strip() == "error: L0 must be finite and positive"
+    assert not trace.exists()
+
+
+def test_flow_rejects_negative_lambda(tmp_path, capsys):
+    """[TRIVIAL] --lambda -1 exits 2 with the energy module's lambda message
+    instead of running a flow that grows the curve and never converges."""
+    src = tmp_path / "c.csv"
+    dispatch(["generate", "circle", "--n", "64", "--out", str(src)])
+    capsys.readouterr()
+    trace = tmp_path / "t.csv"
+    assert dispatch(["flow", "--in", str(src), "--mode", "fixed-lambda", "--lambda", "-1",
+                     "--steps", "10", "--out", str(trace)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: lambda must be finite and nonnegative"]
     assert not trace.exists()
 
 

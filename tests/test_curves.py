@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from elastica import curves
 from elastica.elliptic import complete_E, complete_K, constants, incomplete_E
+from elastica.energy import normalized_bending
 from elastica.random_shapes import perturbed_circle
 
 
@@ -87,6 +88,8 @@ def test_tangent_tuple_validation():
         curves.TangentTuple(good.omegas * 1.1)
     with pytest.raises(ValueError):
         curves.TangentTuple(np.eye(3))
+    with pytest.raises(ValueError, match="unit"):
+        curves.TangentTuple(np.full((3, 3), np.nan))
     # consecutive dot products are cos(2 phi*)
     target = math.cos(2.0 * cst.phi_star)
     for i in range(3):
@@ -94,9 +97,34 @@ def test_tangent_tuple_validation():
         assert got == pytest.approx(target, abs=1e-12)
 
 
+def _propeller_cone_fit_residual() -> float:
+    """Cross-check of the propeller cone angle: solve the 3-vector constraint
+    system by nonlinear least squares and compare against the closed form."""
+    from scipy.optimize import least_squares
+
+    target = math.cos(2.0 * constants().phi_star)
+
+    def residuals(x):
+        v = x.reshape(3, 3)
+        out = [np.dot(v[i], v[i]) - 1.0 for i in range(3)]
+        out += [np.dot(v[i], v[(i + 1) % 3]) - target for i in range(3)]
+        # gauge fixing: v0 in the xz-plane with positive x, symmetry axis = e3
+        out.append(v[0, 1])
+        out.append(np.dot(v.sum(axis=0), np.array([1.0, 0.0, 0.0])))
+        out.append(np.dot(v.sum(axis=0), np.array([0.0, 1.0, 0.0])))
+        return out
+
+    x0 = np.eye(3).ravel() + 0.3
+    sol = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    v = sol.x.reshape(3, 3)
+    cos_t_fit = abs(v[:, 2].mean())
+    cos_t = math.sqrt((target + 0.5) / 1.5)
+    return abs(cos_t_fit - cos_t)
+
+
 def test_propeller_cone_fit():
     """[DERIVED] least-squares cone fit of the propeller tangents has tiny residual."""
-    assert curves.propeller_cone_fit_residual() < 1e-10
+    assert _propeller_cone_fit_residual() < 1e-10
 
 
 def test_propeller_eight_tuple_odd_k():
@@ -109,6 +137,17 @@ def test_planar_tangent_tuple_signs():
     """[TRIVIAL] planar tuple respects the requested sign sequence length."""
     tup = curves.planar_tangent_tuple([1, -1, 1, -1])
     assert tup.omegas.shape == (4, 2)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_eps_must_be_finite_and_positive(eps):
+    """[TRIVIAL] the closure search and the multiplicity count share one
+    tolerance check; NaN used to give [] and 0 (6 closures exist for k = 4,
+    and the 3-turn circle passes each point 3 times)."""
+    with pytest.raises(ValueError, match="^eps must be finite and positive$"):
+        curves.search_planar_closure(4, eps)
+    with pytest.raises(ValueError, match="^eps must be finite and positive$"):
+        curves.multiplicity(curves.circle(2, 1.0, 1024, turns=3), np.array([1.0, 0.0]), eps)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -149,6 +188,11 @@ def test_segment_is_straight():
     s = curves.segment(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 50)
     assert s.length() == pytest.approx(5.0, rel=1e-12)
     assert not s.closed
+    # no absolute floor on the length: DiscreteCurve's edge check is the gate
+    assert curves.segment(np.zeros(2), np.array([3e-9, 4e-9]), 50).length() == pytest.approx(
+        5e-9, rel=1e-12)
+    with pytest.raises(ValueError, match="consecutive points must be distinct"):
+        curves.segment(np.ones(2), np.ones(2), 50)
 
 
 def test_multiplicity_figure_eight_origin():
@@ -208,6 +252,44 @@ def test_leafed_spec_validation():
     assert spec.k == 3
     with pytest.raises(ValueError):
         curves.LeafedElasticaSpec(k=4, closed=True, tangents=tup.omegas)
+
+
+def _planar_chain(*angles_in_phi_star):
+    phi = constants().phi_star
+    return np.array([[math.cos(a * phi), math.sin(a * phi)] for a in angles_in_phi_star])
+
+
+@pytest.mark.parametrize("k, closed, tangents, leaf_length, match", [
+    # a unit chain whose rows are rescaled by 2 and 1/2 keeps every
+    # consecutive dot product; it used to build a sheared figure-eight
+    (2, True, _planar_chain(1, -1) * [[2.0], [0.5]], 1.0, "unit"),
+    (2, False, _planar_chain(1, -1, -3) * [[1.0], [1.0 + 1e-9], [1.0]], 1.0, "unit"),
+    (3, True, np.eye(3), 1.0, "2 phi"),
+    (2, False, _planar_chain(1, -1, -2), 1.0, "2 phi"),
+    (2, True, _planar_chain(1, -1)[:, :, None], 1.0, r"\(k, n\)"),
+    (2, True, _planar_chain(1, -1), math.nan, "leaf_length"),
+    (2, True, _planar_chain(1, -1), math.inf, "leaf_length"),
+    (2, True, np.full((2, 2), math.nan), 1.0, "unit"),
+], ids=["sheared-closed", "non-unit-open", "wrong-angle-closed", "wrong-angle-open",
+        "not-a-matrix", "nan-leaf-length", "inf-leaf-length", "nan-tangents"])
+def test_leafed_spec_rejects_bad_tangent_chains(k, closed, tangents, leaf_length, match):
+    """[TRIVIAL] non-unit tangents, wrong consecutive angles and a leaf length
+    that is not finite and positive fail when the spec is built, not in
+    assemble_leafed or never."""
+    with pytest.raises(ValueError, match=match):
+        curves.LeafedElasticaSpec(k=k, closed=closed, tangents=tangents,
+                                  leaf_length=leaf_length)
+
+
+def test_assemble_leafed_open_chain():
+    """[PAPER] the open planar 2-leaf chain with tangent angles phi*, -phi*,
+    -3 phi* is two copies of the optimal half-leaf: normalized bending
+    (2 L)(2 B) = 4 varpi*, and the origin is passed 3 times."""
+    spec = curves.LeafedElasticaSpec(k=2, closed=False, tangents=_planar_chain(1, -1, -3))
+    c = curves.assemble_leafed(spec, 256)
+    assert not c.closed and c.vertex_marks == (0, 255, 510)
+    assert normalized_bending(c) / constants().varpi_star == pytest.approx(4.0, abs=1e-3)
+    assert curves.multiplicity(c, np.zeros(2), 1e-6) == 3
 
 
 def test_discrete_curve_rejects_non_finite_coordinates():

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastica import curves, energy
 from elastica.elliptic import complete_E, complete_K, constants
+from elastica.random_shapes import perturbed_circle
 
 
 def _rot(dim, seed):
@@ -47,6 +50,30 @@ def test_scaling_laws():
     assert energy.length(gc) == pytest.approx(energy.length(g) * c, rel=1e-12)
     assert energy.normalized_bending(gc) == pytest.approx(
         energy.normalized_bending(g), rel=1e-12)
+
+
+def test_normalized_bending_of_a_tiny_circle():
+    """[TRIVIAL] a circle of radius 1e-12 (edges of 6e-15) has the B-bar of
+    the unit circle; an absolute edge floor of 1e-14 used to reject it."""
+    assert energy.normalized_bending(curves.circle(2, 1e-12, 1024)) == pytest.approx(
+        energy.normalized_bending(curves.circle(2, 1.0, 1024)), rel=1e-12)
+
+
+@given(shape=st.sampled_from(["perturbed-circle", "propeller"]),
+       exponent=st.floats(-100.0, 100.0),
+       seed=st.integers(0, 2**32 - 1),
+       shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_scale_free_functionals_invariant_under_similarity(shape, exponent, seed, shift):
+    """[DERIVED] B-bar = L B and the total curvature do not change when the
+    curve is scaled by 10^exponent, rotated (or reflected) and translated by
+    up to 10 times its scale."""
+    curve = (perturbed_circle(3, 256, 0.05) if shape == "perturbed-circle"
+             else curves.propeller_curve(256))
+    scale = 10.0 ** exponent
+    moved = curve.transformed(rotation=scale * _rot(curve.dimension, seed),
+                              translation=scale * np.array(shift[:curve.dimension]))
+    for fn in (energy.normalized_bending, energy.total_curvature):
+        assert fn(moved) == pytest.approx(fn(curve), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

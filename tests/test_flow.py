@@ -334,11 +334,14 @@ def test_flow_config_rejects_out_of_domain_values(field, value):
 
 @pytest.mark.parametrize("mode, value", [
     ("fixed-lambda", math.nan), ("fixed-lambda", math.inf), ("fixed-length", math.nan),
-    ("fixed-length", math.inf), ("fixed-length", 0.0), ("fixed-length", -1.0)])
+    ("fixed-length", math.inf), ("fixed-length", 0.0), ("fixed-length", -1.0),
+    ("fixed-lambda", -1.0)])
 def test_run_rejects_out_of_domain_lambda_and_L0(mode, value):
-    """[TRIVIAL] a non-finite lambda, or an L0 that is not finite and
-    positive, fails before the first step (L0 = -1 used to flow at +1)."""
-    with pytest.raises(ValueError, match="lambda must be finite|L0 must be finite"):
+    """[TRIVIAL] a lambda that is not finite and nonnegative, or an L0 that is
+    not finite and positive, fails before the first step (L0 = -1 used to
+    flow at +1, and lambda = -1 used to grow the curve without converging)."""
+    with pytest.raises(ValueError, match="^(lambda must be finite and nonnegative"
+                                         "|L0 must be finite and positive)$"):
         flow.run(curves.circle(2, 1.0, 32), mode, value, flow.FlowConfig(max_steps=1))
 
 

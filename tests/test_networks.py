@@ -71,10 +71,28 @@ def test_build_rejects_m_at_or_above_m_star():
 
 
 def test_monotonicity_certificates():
-    """[PAPER] f' and g' closed forms positive and matching differences."""
+    """[PAPER] f' and g' closed forms positive and matching differences.
+    [DERIVED] f = E h and g = K h (h = E - (1-m)K) by central differences."""
     rep = networks.monotonicity_certificates(np.linspace(0.05, 0.8, 30))
     assert rep.all_positive
-    assert rep.max_fd_relerr < 1e-5
+    h = lambda x: complete_E(x) - (1.0 - x) * complete_K(x)
+    dm = 1e-6
+    relerr = []
+    for fn, exact in ((lambda x: complete_E(x) * h(x), rep.f_prime),
+                      (lambda x: complete_K(x) * h(x), rep.g_prime)):
+        for m, want in zip(rep.m_grid, exact):
+            fd = (fn(m + dm) - fn(m - dm)) / (2.0 * dm)
+            relerr.append(abs(fd - want) / abs(want))
+    assert max(relerr) < 1e-5
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, -0.5, math.nan])
+def test_m_outside_unit_interval_is_rejected_by_the_elliptic_check(m):
+    """[TRIVIAL] the junction angle and the closed-form energy reject m with
+    the elliptic module's one check of m in (0, 1)."""
+    for fn in (networks.wavelike_junction_angle, networks.network_energy_formula):
+        with pytest.raises(ValueError, match="^parameter m must lie in the open interval"):
+            fn(m)
 
 
 def test_h_prime_is_half_K():
