@@ -192,6 +192,7 @@ class LeafedElasticaSpec:
     leaf_length: float = 1.0
 
     def __post_init__(self):
+        _check_int(self.k, 1, "k")
         t = _check_tangent_chain(self.tangents, self.closed)
         expected = self.k if self.closed else self.k + 1
         if t.shape[0] != expected:
@@ -359,10 +360,18 @@ def propeller_curve(n_samples_per_leaf: int = 256, leaf_length: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 # planar closure search
 
-def _check_eps(eps: float) -> None:
+def _check_eps(eps: float, name: str = "eps") -> None:
+    """The one check of a tolerance: finite and positive."""
     # written so that NaN fails too
     if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be finite and positive")
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def _check_int(value, low: int, name: str) -> None:
+    """The one check of a count: an integer (not a bool) >= low."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def search_planar_closure(k: int, eps: float) -> list:
@@ -416,16 +425,22 @@ def segment(p: np.ndarray, q: np.ndarray, n_samples: int) -> DiscreteCurve:
 # ---------------------------------------------------------------------------
 # multiplicity and embeddedness
 
-def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
-    """Count maximal clusters of samples within eps of `point`, separated by
-    excursions beyond 2 eps.  Clusters are the discrete shadows of preimage
-    points, so sampling density does not inflate the count."""
+def _check_cluster_eps(curve: DiscreteCurve, eps: float) -> None:
+    """The check `multiplicity` makes of eps, and its warning when eps is
+    coarse for the curve's sampling."""
     _check_eps(eps)
     min_edge = curve.edge_lengths().min()
     if eps > 0.5 * min_edge:
         import warnings
         warnings.warn(f"eps={eps:g} exceeds half the minimum edge length {min_edge:g}; "
                       "cluster separation may be unreliable")
+
+
+def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
+    """Count maximal clusters of samples within eps of `point`, separated by
+    excursions beyond 2 eps.  Clusters are the discrete shadows of preimage
+    points, so sampling density does not inflate the count."""
+    _check_cluster_eps(curve, eps)
     d = np.linalg.norm(curve.points - np.asarray(point, dtype=float), axis=1)
     inside = d <= eps
     if not inside.any():

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import elliptic
-from .curves import DiscreteCurve, sample_wavelike, segment
+from .curves import DiscreteCurve, _check_eps, sample_wavelike, segment
 from .elliptic import complete_E, complete_K, constants
 from .energy import e_lambda
 
@@ -170,6 +170,7 @@ def drop_margin(curve: DiscreteCurve, tol: float = 1e-9) -> float:
     """E_1[curve] - 2 sqrt(varpi*) for an open curve with coinciding endpoints."""
     if curve.closed:
         raise ValueError("a drop is an open curve")
+    _check_eps(tol, "tol")
     if np.linalg.norm(curve.points[0] - curve.points[-1]) > tol:
         raise ValueError("drop endpoints must coincide")
     return e_lambda(curve, 1.0) - 2.0 * math.sqrt(constants().varpi_star)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +39,10 @@ def format_float(x: float) -> str:
 
 
 def _format_points(points: np.ndarray) -> str:
-    return "\n".join(",".join(format_float(v) for v in row) for row in points)
+    """The rows of `points` as lines of comma-separated `format_float`
+    values, formatted with one `%` over the whole block."""
+    rows, dim = points.shape
+    return "\n".join([",".join([_FMT] * dim)] * rows) % tuple(points.ravel().tolist())
 
 
 def curve_to_csv(curve: DiscreteCurve, path) -> None:
@@ -63,23 +67,30 @@ def curve_from_csv(path) -> DiscreteCurve:
     if len(head) != 2 or dim < 2 or head[1].strip() not in ("0", "1"):
         raise ValueError(f"{path}: line {first}: expected a 'dim,closed' header with "
                          f"dim >= 2 and closed 0 or 1, got {lines[0]!r}")
-    rows = []
-    for number, line in enumerate(lines[1:], start=first + 1):
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != dim:
-            raise ValueError(f"{path}: line {number}: expected {dim} numbers, got {line!r}")
-        rows.append(row)
-    return DiscreteCurve(np.array(rows), closed=head[1].strip() == "1")
+    body = lines[1:]
+    try:
+        values = list(map(float, ",".join(body).split(","))) if body else []
+    except ValueError:
+        values = None
+    if values is None or any(line.count(",") != dim - 1 for line in body):
+        # name the first bad line
+        for number, line in enumerate(body, start=first + 1):
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != dim:
+                raise ValueError(f"{path}: line {number}: expected {dim} numbers, "
+                                 f"got {line!r}")
+    return DiscreteCurve(np.array(values, dtype=float).reshape(len(body), dim),
+                         closed=head[1].strip() == "1")
 
 
 def _curve_block(curve: DiscreteCurve, generator: Optional[str], parameters: Optional[dict]):
     block = {
         "dim": curve.dimension,
         "closed": curve.closed,
-        "points": [[format_float(v) for v in row] for row in curve.points],
+        "points": [line.split(",") for line in _format_points(curve.points).split("\n")],
     }
     if generator is not None:
         block["generator"] = generator
@@ -119,7 +130,17 @@ def _rows(value, key: str, where: str, count: Optional[int] = None) -> np.ndarra
         what = "" if count is None else f"{count} "
         raise ValueError(f"{where}: key {key!r} must be a list of {what}"
                          "equal-length lists of numbers")
-    return np.array([[_number(v, key, where) for v in row] for row in value], dtype=float)
+    flat = list(chain.from_iterable(value))
+    values = None
+    if set(map(type, flat)) <= {float, int, str}:
+        try:
+            values = list(map(float, flat))
+        except (ValueError, OverflowError):
+            pass
+    if values is None:
+        # name the bad value
+        values = [_number(v, key, where) for v in flat]
+    return np.array(values, dtype=float).reshape(len(value), len(value[0]) if value else 0)
 
 
 def _object(doc, where: str) -> dict:

@@ -270,8 +270,13 @@ def _planar_chain(*angles_in_phi_star):
     (2, True, _planar_chain(1, -1), math.nan, "leaf_length"),
     (2, True, _planar_chain(1, -1), math.inf, "leaf_length"),
     (2, True, np.full((2, 2), math.nan), 1.0, "unit"),
+    # k = 0 used to pass, and assemble_leafed then failed inside numpy
+    (0, False, [[1.0, 0.0]], 1.0, "^k must be an integer >= 1$"),
+    (1.0, False, _planar_chain(1, -1), 1.0, "^k must be an integer >= 1$"),
+    (True, False, _planar_chain(1, -1), 1.0, "^k must be an integer >= 1$"),
 ], ids=["sheared-closed", "non-unit-open", "wrong-angle-closed", "wrong-angle-open",
-        "not-a-matrix", "nan-leaf-length", "inf-leaf-length", "nan-tangents"])
+        "not-a-matrix", "nan-leaf-length", "inf-leaf-length", "nan-tangents",
+        "zero-k", "float-k", "bool-k"])
 def test_leafed_spec_rejects_bad_tangent_chains(k, closed, tangents, leaf_length, match):
     """[TRIVIAL] non-unit tangents, wrong consecutive angles and a leaf length
     that is not finite and positive fail when the spec is built, not in

@@ -4,10 +4,11 @@ Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elastica import curves, energy
@@ -168,6 +169,193 @@ def test_li_yau_margin_requires_multiplicity():
         energy.li_yau_margin(curves.circle(2, 1.0, 256), 2)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, 1, 0, -3, True, False, "2", None])
+def test_li_yau_margin_rejects_k_that_is_not_an_integer_from_2(k):
+    """[TRIVIAL] k is checked where it enters: k = 2.5 used to raise "no point
+    of multiplicity >= 2.5 found" after a full search."""
+    with pytest.raises(ValueError, match="^k must be an integer >= 2$"):
+        energy.li_yau_margin(curves.sample_figure_eight(2, 512), k)
+
+
+def test_li_yau_margin_accepts_numpy_integers():
+    """[TRIVIAL] a numpy integer k is an integer."""
+    g = curves.sample_figure_eight(2, 512)
+    assert energy.li_yau_margin(g, np.int64(2)) == energy.li_yau_margin(g, 2)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_li_yau_margin_rejects_bad_eps_before_the_search(eps):
+    """[TRIVIAL] eps gets multiplicity's check before any pruning, so NaN is
+    "eps must be finite and positive", not an empty search."""
+    with pytest.raises(ValueError, match="^eps must be finite and positive$"):
+        energy.li_yau_margin(curves.sample_figure_eight(2, 512), 2, eps)
+
+
+def _best_multiple_point_loop(curve, eps):
+    """The full candidate scan that `_best_multiple_point` prunes: every
+    (n // 256)-th sample in index order, keeping the first with the largest
+    multiplicity above 1."""
+    pts = curve.points
+    if curve.vertex_marks:
+        return pts[curve.vertex_marks[0]]
+    best, best_mult = None, 1
+    stride = max(1, curve.n_points // 256)
+    for p in pts[::stride]:
+        m = curves.multiplicity(curve, p, eps)
+        if m > best_mult:
+            best, best_mult = p, m
+    return best
+
+
+def _moved_eight(halves, scale, seed):
+    """A 2048-point figure-eight rotated, scaled and translated by 1e6 times
+    the scale."""
+    g = curves.sample_figure_eight(halves, 2048)
+    return g.transformed(rotation=scale * _rot(2, seed),
+                         translation=scale * 1e6 * np.array([0.6, -0.8]))
+
+
+_SCAN_CURVES = {
+    # name: (curve factory, k)
+    "eight-2-at-1e-8": (lambda: _moved_eight(2, 1e-8, 0), 2),
+    "eight-2-at-1": (lambda: _moved_eight(2, 1.0, 1), 2),
+    "eight-2-at-1e8": (lambda: _moved_eight(2, 1e8, 2), 2),
+    "eight-4-at-1e-8": (lambda: _moved_eight(4, 1e-8, 3), 2),
+    "eight-4-at-1": (lambda: _moved_eight(4, 1.0, 4), 2),
+    "eight-4-at-1e8": (lambda: _moved_eight(4, 1e8, 5), 2),
+    "2-turn": (lambda: curves.circle(2, 1.0, 1200, turns=2), 2),
+    "3-turn": (lambda: curves.circle(2, 1.0, 1200, turns=3), 3),
+    "4-turn": (lambda: curves.circle(2, 1.0, 1200, turns=4), 4),
+    "propeller-3d": (lambda: curves.DiscreteCurve(curves.propeller_curve(512).points,
+                                                  closed=True), 3),
+    "open-half-leaf": (lambda: curves.canonical_half_leaf(2048), 2),
+    "marked-propeller": (lambda: curves.propeller_curve(512), 3),
+}
+_SCAN_CACHE = {}
+
+
+def _scan_curve(name):
+    if name not in _SCAN_CACHE:
+        factory, k = _SCAN_CURVES[name]
+        _SCAN_CACHE[name] = factory(), k
+    return _SCAN_CACHE[name]
+
+
+def _margin_or_error(curve, k, eps):
+    try:
+        return energy.li_yau_margin(curve, k, eps)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
+@pytest.mark.parametrize("rel_eps", [1e-6, 1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("name", list(_SCAN_CURVES))
+def test_pruned_scan_finds_the_full_scans_point(name, rel_eps, monkeypatch):
+    """[DERIVED] the bound-pruned candidate scan returns the bytes of the
+    point that the full scan returns, and li_yau_margin the same value (or
+    the same error), under rigid motion, scales 1e-8 to 1e8 and a
+    translation of 1e6 times the scale, in 3D, open and with vertex marks."""
+    curve, k = _scan_curve(name)
+    eps = rel_eps * curve.length()
+    want = _best_multiple_point_loop(curve, eps)
+    got = energy._best_multiple_point(curve, eps)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+    margin = _margin_or_error(curve, k, eps)
+    monkeypatch.setattr(energy, "_best_multiple_point", _best_multiple_point_loop)
+    assert margin == _margin_or_error(curve, k, eps)
+
+
+@pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
+@given(cells=st.lists(st.tuples(*[st.integers(0, 12)] * 3), min_size=3, max_size=300),
+       dim=st.sampled_from([2, 3]), closed=st.booleans(),
+       scale=st.sampled_from([1e-160, 1e-9, 1.0, 1e9]),
+       rel_eps=st.sampled_from([0.05, 0.25, 0.5, 0.6, 1.0]))
+@settings(max_examples=300)
+def test_pruned_scan_matches_full_scan_on_polygons_with_repeated_points(
+        cells, dim, closed, scale, rel_eps):
+    """[DERIVED] on random polygons on a lattice of spacing 1/4, which revisit
+    their points and pass near them, some at exactly eps, the pruned scan and
+    the full scan return the same point (or none)."""
+    pts = []
+    for cell in cells:
+        if not pts or cell[:dim] != pts[-1]:
+            pts.append(cell[:dim])
+    if closed and len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    assume(len(pts) >= 3)
+    curve = curves.DiscreteCurve(0.25 * scale * np.array(pts, dtype=float), closed=closed)
+    eps = rel_eps * scale
+    want = _best_multiple_point_loop(curve, eps)
+    got = energy._best_multiple_point(curve, eps)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pruned_scan_counts_samples_whose_squared_distance_underflows():
+    """[TRIVIAL] sample 3 lies 1e-163 from sample 0, so its squared distance
+    underflows to 0 and multiplicity counts it within eps = 1e-170 of sample
+    0: its bound must count it too, though it is 1e-163 > 2 eps away."""
+    curve = curves.DiscreteCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-163, 0.0],
+                                  [-1.0, -1.0]])
+    assert curves.multiplicity(curve, curve.points[0], 1e-170) == 2
+    assert energy._best_multiple_point(curve, 1e-170).tobytes() == curve.points[0].tobytes()
+
+
+def _counting_multiplicity(monkeypatch):
+    calls = []
+    real = energy.multiplicity
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(energy, "multiplicity", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
+@pytest.mark.parametrize("rel_eps", [1e-6, 1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("name", ["eight-2-at-1", "eight-4-at-1", "2-turn", "3-turn",
+                                  "4-turn"])
+def test_pruned_scan_calls_multiplicity_rarely(name, rel_eps, monkeypatch):
+    """[DERIVED] at the margin's default eps = 1e-6 L the scan evaluates
+    multiplicity at most twice on the figure-eights and k-turn circles, where
+    the full scan evaluates it at each of 256 or 300 candidates; at no eps
+    does it evaluate it more often than the full scan."""
+    curve, _ = _scan_curve(name)
+    calls = _counting_multiplicity(monkeypatch)
+    energy._best_multiple_point(curve, rel_eps * curve.length())
+    assert len(calls) <= len(curve.points[::max(1, curve.n_points // 256)])
+    if rel_eps == 1e-6:
+        assert len(calls) <= 2
+
+
+def test_pruned_scan_warns_on_coarse_eps_without_evaluating(monkeypatch):
+    """[TRIVIAL] the coarse-eps warning comes even when no candidate's bound
+    calls for a multiplicity evaluation: here the one short edge, between
+    samples 1 and 2 of a 768-gon, lies between candidates 0 and 3."""
+    pts = curves.circle(2, 1.0, 768).points.copy()
+    pts[2] = pts[1] + 1e-9 * (pts[2] - pts[1])
+    curve = curves.DiscreteCurve(pts, closed=True)
+    calls = _counting_multiplicity(monkeypatch)
+    with pytest.warns(UserWarning, match="exceeds half the minimum edge length"):
+        with pytest.raises(ValueError, match="no point of multiplicity >= 2"):
+            energy.li_yau_margin(curve, 2)
+    assert calls == []
+
+
+def test_pruned_scan_does_not_warn_on_fine_eps():
+    """[TRIVIAL] no warning where multiplicity gives none."""
+    curve, _ = _scan_curve("eight-2-at-1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy.li_yau_margin(curve, 2)
+
+
 def test_piecewise_triangle_defect_zero():
     """[PAPER] straight pieces: all TC in the vertex angles, defect 0."""
     verts = [np.array([math.cos(a), math.sin(a)])
@@ -185,6 +373,16 @@ def test_piecewise_junction_mismatch_raises():
     b = curves.segment(np.array([2.0, 0.0]), np.zeros(2), 16)
     with pytest.raises(ValueError):
         energy.total_curvature_piecewise([a, b])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_piecewise_rejects_bad_junction_tol(tol):
+    """[TRIVIAL] junction_tol gets the one tolerance check: NaN used to
+    switch the junction check off."""
+    a = curves.segment(np.zeros(2), np.array([1.0, 0.0]), 16)
+    b = curves.segment(np.array([2.0, 0.0]), np.zeros(2), 16)
+    with pytest.raises(ValueError, match="^junction_tol must be finite and positive$"):
+        energy.total_curvature_piecewise([a, b], junction_tol=tol)
 
 
 def test_piecewise_circle_split_matches_smooth():

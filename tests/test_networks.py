@@ -163,6 +163,14 @@ def test_drop_margin_input_validation():
         networks.drop_margin(curves.segment(np.zeros(2), np.ones(2), 16))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_drop_margin_rejects_bad_tol(tol):
+    """[TRIVIAL] tol gets the one tolerance check: NaN used to switch the
+    endpoint check off and report a false violation of the drop bound."""
+    with pytest.raises(ValueError, match="^tol must be finite and positive$"):
+        networks.drop_margin(curves.segment(np.zeros(2), np.ones(2), 16), tol=tol)
+
+
 def test_double_bubble_value():
     """[PAPER] E at alpha = 3 pi / 4."""
     assert networks.double_bubble_energy(3 * math.pi / 4) == pytest.approx(

@@ -76,3 +76,23 @@ def test_reader_rejects_malformed(tmp_path):
     q.write_text('{"kind": "something-else"}')
     with pytest.raises(ValueError):
         serialization.curve_from_json(q)
+
+
+def test_writers_match_a_per_value_format_float_join(tmp_path):
+    """[TRIVIAL] the block writers, which format all values with one `%`,
+    write the bytes of a per-value `format_float` join, for -0.0, 1e-300,
+    subnormals and +-1e300, and read them back bit for bit."""
+    tiny = [-0.0, 1e-300, 5e-324, 2.5e-310]
+    # the 1e300 columns are constant, so every edge length is finite
+    points = np.array([[t, 1e300, -1e300, z] for t, z in zip(tiny, [0.0, 1.0, 0.1, -2.5])])
+    g = curves.DiscreteCurve(points, closed=False)
+    rows = [[serialization.format_float(v) for v in row] for row in points]
+    csv_path, json_path = tmp_path / "c.csv", tmp_path / "c.json"
+    serialization.curve_to_csv(g, csv_path)
+    assert csv_path.read_text() == "4,0\n" + "\n".join(",".join(r) for r in rows) + "\n"
+    serialization.curve_to_json(g, json_path)
+    want = {"kind": "curve", "dim": 4, "closed": False, "points": rows}
+    assert json_path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    for back in (serialization.curve_from_csv(csv_path),
+                 serialization.curve_from_json(json_path)):
+        assert back.points.tobytes() == points.tobytes()
