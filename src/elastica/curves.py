@@ -10,6 +10,7 @@ multiplicity / embeddedness predicates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -211,8 +212,7 @@ def sample_wavelike(m: float, s_lo: float, s_hi: float, n_samples: int) -> Discr
     (2E(am(s,m),m) - s, -2 sqrt(m) cn(s,m)); signed curvature 2 sqrt(m) cn(s,m)."""
     if s_lo >= s_hi:
         raise ValueError("need s_lo < s_hi")
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples")
+    _check_int(n_samples, 3, "n_samples")
     svals = np.linspace(s_lo, s_hi, n_samples)
     am = elliptic.amplitude(svals, m)
     pts = np.column_stack([2.0 * elliptic.incomplete_E(am, m) - svals,
@@ -224,10 +224,9 @@ def sample_figure_eight(N_halves: int, n_samples: int, closed: Optional[bool] = 
     """N_halves half-periods of the figure-eight elastica on [0, 2 N K(m*)],
     starting at the origin.  Even N_halves closes up; the closed flag defaults
     accordingly."""
-    if N_halves < 1:
-        raise ValueError("N_halves must be a positive integer")
-    if n_samples < 8 * N_halves:
-        raise ValueError("need at least 8 samples per half-period")
+    _check_int(N_halves, 1, "N_halves")
+    # at least 8 samples per half-period
+    _check_int(n_samples, 8 * N_halves, "n_samples")
     c = constants()
     if closed is None:
         closed = N_halves % 2 == 0
@@ -249,8 +248,7 @@ def sample_figure_eight(N_halves: int, n_samples: int, closed: Optional[bool] = 
 def canonical_half_leaf(n_samples: int) -> DiscreteCurve:
     """One half-period [0, 2K(m*)] of the figure-eight: starts and ends at the
     origin with tangents at angle 2 phi* and zero curvature at the ends."""
-    if n_samples < 16:
-        raise ValueError("need at least 16 samples")
+    _check_int(n_samples, 16, "n_samples")
     return sample_figure_eight(1, n_samples, closed=False)
 
 
@@ -273,20 +271,22 @@ def build_tangent_tuple_propeller() -> TangentTuple:
     return TangentTuple(omegas)
 
 
-def planar_tangent_tuple(signs: Sequence[int], start_angle: float = 0.0) -> TangentTuple:
-    """Planar tuple obtained by successive rotations through sigma_i * 2 phi*.
+def planar_tangent_tuple(signs: Sequence[int]) -> TangentTuple:
+    """Planar tuple obtained by successive rotations of e1 through
+    sigma_i * 2 phi*.
 
     Only valid when the signed angles close up modulo 2 pi (e.g. the balanced
     two-leaf sequence (+1, -1) producing the figure-eight)."""
     c = constants()
-    angles = start_angle + 2.0 * c.phi_star * np.cumsum(np.asarray(signs, dtype=float))
+    angles = 2.0 * c.phi_star * np.cumsum(np.asarray(signs, dtype=float))
     omegas = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return TangentTuple(omegas)
 
 
 def propeller_eight_tuple(k: int) -> TangentTuple:
     """The propeller + (k-3)/2 figure-eights composite tuple in R^3, k odd >= 5."""
-    if k < 5 or k % 2 == 0:
+    _check_int(k, 5, "k")
+    if k % 2 == 0:
         raise ValueError("composite tuple needs odd k >= 5")
     prop = build_tangent_tuple_propeller().omegas
     c = constants()
@@ -379,10 +379,9 @@ def search_planar_closure(k: int, eps: float) -> list:
     eps of a multiple of 2 pi.  Empty output for odd k is the numerical
     footprint of the planar nonexistence obstruction."""
     _check_eps(eps)
+    _check_int(k, 1, "k")
     if k > 25:
         raise ValueError("k > 25 exceeds the 2^k output budget")
-    if k < 1:
-        raise ValueError("k must be positive")
     two_phi = 2.0 * constants().phi_star
     found = []
     # sum(sigma) = k - 2q for q minus signs, so a whole count class closes or
@@ -405,8 +404,11 @@ def search_planar_closure(k: int, eps: float) -> list:
 def circle(n: int, radius: float, n_samples: int, turns: int = 1) -> DiscreteCurve:
     """Closed planar circle embedded in R^n (first two coordinates); turns > 1
     gives a multiply covered circle."""
+    _check_int(n, 2, "dimension")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    _check_int(n_samples, 3, "n_samples")
+    _check_int(turns, 1, "turns")
     theta = np.linspace(0.0, 2.0 * math.pi * turns, n_samples, endpoint=False)
     pts = np.zeros((n_samples, n))
     pts[:, 0] = radius * np.cos(theta)
@@ -416,6 +418,7 @@ def circle(n: int, radius: float, n_samples: int, turns: int = 1) -> DiscreteCur
 
 def segment(p: np.ndarray, q: np.ndarray, n_samples: int) -> DiscreteCurve:
     """Uniform samples of the straight segment from p to q."""
+    _check_int(n_samples, 3, "n_samples")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     tvals = np.linspace(0.0, 1.0, n_samples)[:, None]
@@ -460,6 +463,56 @@ def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
         if not (seam > 2.0 * eps).any():
             count -= 1
     return count
+
+
+# the square root of the smallest normal float: a coordinate difference at
+# least this large has a normal square, so the computed distance is at least
+# about as large; a smaller one may square to 0
+_TINY_DIFF = math.sqrt(sys.float_info.min)
+
+
+def _box_counts(curve: DiscreteCurve, centres: np.ndarray, eps: float) -> np.ndarray:
+    """For each centre p, the number of samples whose computed coordinate
+    differences from p are all at most w = 2 eps, or _TINY_DIFF if larger:
+    every sample within eps of p is one, so the count bounds the clusters
+    that `multiplicity(curve, p, eps)` counts.  Where the windows that hold
+    the boxes are wide, the bound is the trivial n."""
+    points, n = curve.points, curve.n_points
+    x = points[:, 0]
+    order = np.argsort(x, kind="stable")
+    c = centres[:, 0]
+    w = max(2.0 * eps, _TINY_DIFF)
+    # each window in x-order holds every sample within eps of its centre:
+    # such a sample's x lies within about eps of c, well inside c -/+ w, and
+    # rounding c -/+ w keeps it inside, since rounding is monotone
+    xs = x[order]
+    lo = np.searchsorted(xs, c - w, side="left")
+    counts = np.searchsorted(xs, c + w, side="right") - lo
+    if counts.sum() > 16 * n:
+        # only an eps far past the one multiplicity warns about gets here:
+        # the boxes then hold many samples of each pass and prune nothing,
+        # and the windows would cost more than a sixteenth of a full scan
+        return np.full(len(centres), n)
+    owner = np.repeat(np.arange(len(centres)), counts)
+    j = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    in_box = (np.abs(points[j] - centres[owner]) <= w).all(axis=1)
+    return np.bincount(owner[in_box], minlength=len(centres))
+
+
+def _has_point_of_multiplicity(curve: DiscreteCurve, k: int, eps: float) -> bool:
+    """Whether the first marked vertex or, without marks, one of every
+    (n // 256)-th sample has `multiplicity` >= k at eps.
+
+    Samples are tried in index order, only those whose `_box_counts` bound
+    reaches k, up to the first that passes."""
+    # check and warn as multiplicity does, even where no sample is tried
+    _check_cluster_eps(curve, eps)
+    pts = curve.points
+    if curve.vertex_marks:
+        return multiplicity(curve, pts[curve.vertex_marks[0]], eps) >= k
+    candidates = pts[::max(1, curve.n_points // 256)]
+    bound = _box_counts(curve, candidates, eps)
+    return any(multiplicity(curve, p, eps) >= k for p in candidates[bound >= k])
 
 
 _GRID = 2.0**40
@@ -544,12 +597,12 @@ def _candidate_pairs(lo: np.ndarray, hi: np.ndarray, closed: bool) -> np.ndarray
     return np.column_stack([i, j])[np.lexsort((j, i))]
 
 
-def is_embedded(curve: DiscreteCurve, eps: float = 0.0) -> bool:
+def is_embedded(curve: DiscreteCurve) -> bool:
     """True iff no two non-adjacent segments intersect.
 
     Planar curves use exact integer orientation predicates on coordinates
     snapped to a 2^-40 grid; higher dimensions test segment-segment distance
-    against eps (default: 1e-9 x length)."""
+    against 1e-9 x length."""
     pts = curve.points
     starts = pts if curve.closed else pts[:-1]
     ends = np.roll(pts, -1, axis=0) if curve.closed else pts[1:]
@@ -559,6 +612,6 @@ def is_embedded(curve: DiscreteCurve, eps: float = 0.0) -> bool:
         s, e = snapped[:len(starts)], snapped[len(starts):]
         return not any(_segments_intersect_2d(s[i], e[i], s[j], e[j])
                        for i, j in _candidate_pairs(lo, hi, curve.closed))
-    tol = eps if eps > 0 else 1e-9 * curve.length()
+    tol = 1e-9 * curve.length()
     return not any(_segment_distance(starts[i], ends[i], starts[j], ends[j]) < tol
                    for i, j in _candidate_pairs(lo - tol, hi + tol, curve.closed))

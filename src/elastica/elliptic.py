@@ -146,11 +146,11 @@ class EllipticConstants:
         }
 
 
-def solve_m_star(residual_tol: float = 1e-12, max_iter: int = 200) -> EllipticConstants:
+def solve_m_star() -> EllipticConstants:
     """Solve K(m) - 2E(m) = 0 on the bracket [0.75, 0.85] and bundle the constants.
 
     Bisection narrows the bracket to width 1e-4, then Newton polishes with
-    dK/dm - 2 dE/dm.
+    dK/dm - 2 dE/dm, for at most 200 steps, to a residual below 1e-12.
     """
     g = lambda m: complete_K(m) - 2.0 * complete_E(m)
     lo, hi = 0.75, 0.85
@@ -163,16 +163,16 @@ def solve_m_star(residual_tol: float = 1e-12, max_iter: int = 200) -> EllipticCo
         else:
             hi = mid
     m = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         r = g(m)
-        if abs(r) < residual_tol:
+        if abs(r) < 1e-12:
             break
         m -= r / (dK_dm(m) - 2.0 * dE_dm(m))
     else:
         raise RuntimeError("m* iteration did not reach residual target; elliptic backend broken")
     K = complete_K(m)
     E = complete_E(m)
-    if abs(K - 2.0 * E) >= residual_tol:
+    if abs(K - 2.0 * E) >= 1e-12:
         raise RuntimeError("m* residual target missed")
     varpi = 32.0 * (2.0 * m - 1.0) * E * E
     phi = math.acos(2.0 * m - 1.0)

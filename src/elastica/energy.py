@@ -11,14 +11,12 @@ the two boundary nodes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .curves import (DiscreteCurve, _check_cluster_eps, _check_eps, _check_int,
-                     multiplicity)
+from .curves import DiscreteCurve, _check_eps, _check_int, _has_point_of_multiplicity
 from .elliptic import constants
 
 __all__ = [
@@ -146,89 +144,20 @@ def e_lambda(curve: DiscreteCurve, lam: float) -> float:
     return bending_energy(curve) + lam * length(curve)
 
 
-def default_multiplicity_eps(curve: DiscreteCurve) -> float:
-    return 1e-6 * length(curve)
-
-
 def li_yau_margin(curve: DiscreteCurve, k: int, eps: float = None) -> float:
     """Margin of the multiplicity inequality: B-bar - varpi* k^2 for closed
     curves, B-bar - varpi* (k-1)^2 for open ones.
 
-    Requires a point of multiplicity >= k; the curve's densest self-cluster
-    is searched among sample points near the curve's marked vertices or, by
-    default, the origin-like densest point.
+    Requires a point of multiplicity >= k at eps (default 1e-6 L): the
+    curve's first marked vertex or, without marks, one of its samples.
     """
     _check_int(k, 2, "k")
     if eps is None:
-        eps = default_multiplicity_eps(curve)
-    point = _best_multiple_point(curve, eps)
-    if point is None or multiplicity(curve, point, eps) < k:
+        eps = 1e-6 * length(curve)
+    if not _has_point_of_multiplicity(curve, k, eps):
         raise ValueError(f"no point of multiplicity >= {k} found at eps={eps:g}")
     quota = k * k if curve.closed else (k - 1) ** 2
     return normalized_bending(curve) - constants().varpi_star * quota
-
-
-# the square root of the smallest normal float: a coordinate difference at
-# least this large has a normal square, so the computed distance is at least
-# about as large; a smaller one may square to 0
-_TINY_DIFF = math.sqrt(sys.float_info.min)
-
-
-def _box_counts(curve: DiscreteCurve, centres: np.ndarray, eps: float) -> np.ndarray:
-    """For each centre p, the number of samples whose computed coordinate
-    differences from p are all at most w = 2 eps, or _TINY_DIFF if larger:
-    every sample within eps of p is one, so the count bounds the clusters
-    that `multiplicity(curve, p, eps)` counts.  Where the windows that hold
-    the boxes are wide, the bound is the trivial n."""
-    points, n = curve.points, curve.n_points
-    x = points[:, 0]
-    order = np.argsort(x, kind="stable")
-    c = centres[:, 0]
-    w = max(2.0 * eps, _TINY_DIFF)
-    # each window in x-order holds every sample within eps of its centre:
-    # such a sample's x lies within about eps of c, well inside c -/+ w, and
-    # rounding c -/+ w keeps it inside, since rounding is monotone
-    xs = x[order]
-    lo = np.searchsorted(xs, c - w, side="left")
-    counts = np.searchsorted(xs, c + w, side="right") - lo
-    if counts.sum() > 16 * n:
-        # only an eps far past the one multiplicity warns about gets here:
-        # the boxes then hold many samples of each pass and prune nothing,
-        # and the windows would cost more than a sixteenth of a full scan
-        return np.full(len(centres), n)
-    owner = np.repeat(np.arange(len(centres)), counts)
-    j = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-    in_box = (np.abs(points[j] - centres[owner]) <= w).all(axis=1)
-    return np.bincount(owner[in_box], minlength=len(centres))
-
-
-def _best_multiple_point(curve: DiscreteCurve, eps: float):
-    """The first marked vertex or, without marks, the first of the candidate
-    samples (every (n // 256)-th) with the largest multiplicity above 1, else
-    None.
-
-    Candidates are visited by an upper bound on their multiplicity, the
-    `_box_counts` count, largest first and then by index, and `multiplicity`
-    is evaluated only while the bound could still beat the best count, or tie
-    it at a smaller index: the result is the point that evaluating every
-    candidate in index order finds.
-    """
-    pts = curve.points
-    if curve.vertex_marks:
-        return pts[curve.vertex_marks[0]]
-    # check and warn as a full scan's first multiplicity call would, even
-    # where the bounds leave no candidate to evaluate
-    _check_cluster_eps(curve, eps)
-    candidates = pts[::max(1, curve.n_points // 256)]
-    bound = _box_counts(curve, candidates, eps)
-    best, best_mult = -1, 1
-    for i in np.argsort(-bound, kind="stable").tolist():
-        if bound[i] < best_mult or (bound[i] == best_mult and i > best):
-            break
-        m = multiplicity(curve, candidates[i], eps)
-        if m > best_mult or (m == best_mult and i < best):
-            best, best_mult = i, m
-    return None if best < 0 else candidates[best]
 
 
 @dataclass(frozen=True)

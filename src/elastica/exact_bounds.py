@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .curves import _check_int
+
 __all__ = ["coeff_A", "partial_S", "tail_T", "SeriesBracket", "bracket"]
 
 
 def coeff_A(n: int) -> Fraction:
     """Exact series coefficient ((2n-1)!!/(2n)!!)^2 (2n+1)/(2n-1)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_int(n, 1, "n")
     ratio = Fraction(1)
     for j in range(1, n + 1):
         ratio *= Fraction(2 * j - 1, 2 * j)
@@ -34,8 +35,7 @@ def _check_rational_m(m: Fraction) -> Fraction:
 
 def partial_S(N: int, m: Fraction) -> Fraction:
     """Partial sum S_N(m) = sum_{n=1}^N A_n m^n, exactly."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    _check_int(N, 1, "N")
     m = _check_rational_m(m)
     return sum((coeff_A(n) * m**n for n in range(1, N + 1)), Fraction(0))
 

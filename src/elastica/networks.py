@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import elliptic
-from .curves import DiscreteCurve, _check_eps, sample_wavelike, segment
+from .curves import DiscreteCurve, _check_eps, _check_int, sample_wavelike, segment
 from .elliptic import complete_E, complete_K, constants
 from .energy import e_lambda
 
@@ -100,8 +100,7 @@ def build_wavelike_network(m: float, n_samples: int = 512) -> ThetaNetwork:
     connecting segment, rescaled by sqrt(B/L) so that E = 2 sqrt(L B)."""
     if not 0.0 < m < constants().m_star:
         raise ValueError("need 0 < m < m*: the connecting segment degenerates otherwise")
-    if n_samples < 64:
-        raise ValueError("need at least 64 samples per arc")
+    _check_int(n_samples, 64, "n_samples")
     K = complete_K(m)
     E = complete_E(m)
     half_gap = 2.0 * E - K  # > 0 for m < m*

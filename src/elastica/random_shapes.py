@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve
+from .curves import DiscreteCurve, _check_int
 
 __all__ = [
     "perturbed_circle",
@@ -34,6 +34,7 @@ def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05,
                      radius: float = 1.0) -> DiscreteCurve:
     """Closed curve r(theta) = radius (1 + delta(theta)) with a random
     low-mode radial perturbation of relative size `noise`."""
+    _check_int(n_samples, 3, "n_samples")
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     r = radius * (1.0 + _fourier_bump(rng, theta, (2, 3, 4, 5, 6), noise))
@@ -44,6 +45,7 @@ def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05,
 def random_drop(seed: int, n_samples: int = 512) -> DiscreteCurve:
     """Open smooth loop with coinciding endpoints: a radial perturbation of a
     circle traversed once, sampled at theta = 0 and theta = 2 pi alike."""
+    _check_int(n_samples, 2, "n_samples")
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, n_samples + 1)
     r = 1.0 + _fourier_bump(rng, theta, (2, 3, 4), 0.2)
@@ -61,9 +63,9 @@ def random_piecewise_cycle(seed: int, n_pieces: int = 4,
     two full oscillations, so the pieces are clearly non-convex and the
     piecewise Fenchel defect is comfortably positive.
     """
+    _check_int(n_pieces, 3, "n_pieces")
+    _check_int(n_samples, 3, "n_samples")
     rng = np.random.default_rng(seed)
-    if n_pieces < 3:
-        raise ValueError("need at least three pieces")
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_pieces))
     # keep vertices well separated so chords are nondegenerate
     while np.diff(np.append(angles, angles[0] + 2.0 * np.pi)).min() < 0.3:

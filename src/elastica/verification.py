@@ -131,13 +131,13 @@ def criterion_quantization_ladder() -> CriterionResult:
     return _result("quantization-ladder", checks, detail)
 
 
-def criterion_flow(n_seeds: int = _FLOW_SEEDS) -> CriterionResult:
+def criterion_flow() -> CriterionResult:
     config = flow.FlowConfig()
     checks = []
     worst_round = 0.0
     worst_rad_fl = 0.0
     worst_rad_lam = 0.0
-    for seed in range(n_seeds):
+    for seed in range(_FLOW_SEEDS):
         init = perturbed_circle(seed, 1024, 0.05)
         rep = flow.run(init, "fixed-length", init.length(), config)
         target = init.length() / (2.0 * math.pi)
@@ -149,7 +149,7 @@ def criterion_flow(n_seeds: int = _FLOW_SEEDS) -> CriterionResult:
         rad_err2 = abs(rep2.limit_radius - 1.0)
         checks.append(rad_err2 < 0.01)
         worst_rad_lam = max(worst_rad_lam, rad_err2)
-    detail = (f"{n_seeds} seeds: worst roundness={worst_round:.2e}, "
+    detail = (f"{_FLOW_SEEDS} seeds: worst roundness={worst_round:.2e}, "
               f"worst fixed-length radius err={worst_rad_fl:.2e}, "
               f"worst fixed-lambda radius err={worst_rad_lam:.2e}")
     return _result("flow", checks, detail)
@@ -232,5 +232,5 @@ def run_criterion(name: str) -> CriterionResult:
     return fn()
 
 
-def run_all(names=CRITERION_NAMES):
-    return [run_criterion(n) for n in names]
+def run_all():
+    return [fn() for fn in _CRITERIA.values()]

@@ -127,6 +127,32 @@ def test_verify_single_criterion(capsys):
     assert "PASS  constants" in capsys.readouterr().out
 
 
+_COUNT_OPTIONS = {
+    "--dim": [["circle"]],
+    "--turns": [["circle"]],
+    "--halves": [["figure-eight"]],
+    "--n": [["wavelike"], ["figure-eight"], ["half-leaf"], ["propeller"], ["circle"],
+            ["perturbed-circle", "--seed", "1"], ["drop", "--seed", "1"]],
+}
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1", "2", "3"])
+@pytest.mark.parametrize("option", list(_COUNT_OPTIONS))
+def test_generate_count_options_exit_0_or_2(option, value, tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] a small or negative count either generates a curve or exits
+    2 with one line on stderr: --dim 1 and --dim 0 used to end in an
+    IndexError traceback with exit 1, the code of a failed verification."""
+    monkeypatch.chdir(tmp_path)
+    for kind in _COUNT_OPTIONS[option]:
+        code = dispatch(["generate", *kind, option, value, "--out", "c.csv"])
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_USAGE:
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("error: ")
+
+
 def test_domain_error_maps_to_usage_exit(tmp_path, capsys):
     assert dispatch(["network", "wavelike", "--m", "0.95",
                      "--out", str(tmp_path / "n.json")]) == EXIT_USAGE

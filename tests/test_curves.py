@@ -8,16 +8,17 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elastica import curves
+from elastica import curves, exact_bounds, networks
 from elastica.elliptic import complete_E, complete_K, constants, incomplete_E
 from elastica.energy import normalized_bending
-from elastica.random_shapes import perturbed_circle
+from elastica.random_shapes import perturbed_circle, random_drop, random_piecewise_cycle
 
 
 def test_discrete_curve_validation():
@@ -148,6 +149,50 @@ def test_eps_must_be_finite_and_positive(eps):
         curves.search_planar_closure(4, eps)
     with pytest.raises(ValueError, match="^eps must be finite and positive$"):
         curves.multiplicity(curves.circle(2, 1.0, 1024, turns=3), np.array([1.0, 0.0]), eps)
+
+
+_COUNT_ARGUMENTS = {
+    # name: (call with the count under test, the count's name, its least value)
+    "sample_wavelike-n_samples": (lambda v: curves.sample_wavelike(0.5, -1.0, 1.0, v),
+                                  "n_samples", 3),
+    "sample_figure_eight-N_halves": (lambda v: curves.sample_figure_eight(v, 256),
+                                     "N_halves", 1),
+    "sample_figure_eight-n_samples": (lambda v: curves.sample_figure_eight(2, v),
+                                      "n_samples", 16),
+    "canonical_half_leaf": (curves.canonical_half_leaf, "n_samples", 16),
+    "propeller_curve": (curves.propeller_curve, "n_samples", 16),
+    "propeller_eight_tuple": (curves.propeller_eight_tuple, "k", 5),
+    "search_planar_closure": (lambda v: curves.search_planar_closure(v, 1e-6), "k", 1),
+    "circle-dimension": (lambda v: curves.circle(v, 1.0, 64), "dimension", 2),
+    "circle-n_samples": (lambda v: curves.circle(2, 1.0, v), "n_samples", 3),
+    "circle-turns": (lambda v: curves.circle(2, 1.0, 64, turns=v), "turns", 1),
+    "segment": (lambda v: curves.segment((0.0, 0.0), (1.0, 1.0), v), "n_samples", 3),
+    "perturbed_circle": (lambda v: perturbed_circle(0, v), "n_samples", 3),
+    "random_drop": (lambda v: random_drop(0, v), "n_samples", 2),
+    "random_piecewise_cycle-n_pieces": (lambda v: random_piecewise_cycle(0, v),
+                                        "n_pieces", 3),
+    "random_piecewise_cycle-n_samples": (lambda v: random_piecewise_cycle(0, 4, v),
+                                         "n_samples", 3),
+    "build_wavelike_network": (lambda v: networks.build_wavelike_network(0.5, v),
+                               "n_samples", 64),
+    "coeff_A": (exact_bounds.coeff_A, "n", 1),
+    "partial_S": (lambda v: exact_bounds.partial_S(v, Fraction(1, 2)), "N", 1),
+    "tail_T": (lambda v: exact_bounds.tail_T(v, Fraction(1, 2)), "N", 1),
+    "bracket": (lambda v: exact_bounds.bracket(v, Fraction(1, 2)), "N", 1),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", 0], ids=repr)
+@pytest.mark.parametrize("call", list(_COUNT_ARGUMENTS))
+def test_counts_must_be_integers(call, value):
+    """[TRIVIAL] every count of a generator or search gets the one integer
+    check where it enters: sample_figure_eight(2.5, 256) and (True, 256) used
+    to return curves, circle(2, 1.0, 64, turns=2.5) a polygon whose closing
+    edge jumps across the circle, and search_planar_closure(2.5, 1e-6) raised
+    a TypeError."""
+    fn, name, low = _COUNT_ARGUMENTS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}$"):
+        fn(value)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -405,7 +450,7 @@ def _multiplicity_loop(curve, point, eps):
 @pytest.mark.parametrize("rel_eps", [1e-6, 1e-3, 1e-2, 5e-2])
 def test_multiplicity_matches_loop(name, rel_eps):
     """[DERIVED] the vectorised cluster count equals the per-sample loop at
-    every candidate point that the Li-Yau margin search visits."""
+    every candidate point that the Li-Yau margin may try."""
     curve = {"figure-eight": lambda: curves.sample_figure_eight(2, 2048),
              "3-turn": lambda: curves.circle(2, 1.0, 1200, turns=3),
              "propeller": lambda: curves.propeller_curve(256)}[name]()

@@ -5,6 +5,7 @@ Tags: [DERIVED] independent oracle; [PAPER] fixed reference; [TRIVIAL] direct.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,9 +193,9 @@ def test_li_yau_margin_rejects_bad_eps_before_the_search(eps):
 
 
 def _best_multiple_point_loop(curve, eps):
-    """The full candidate scan that `_best_multiple_point` prunes: every
-    (n // 256)-th sample in index order, keeping the first with the largest
-    multiplicity above 1."""
+    """The full candidate scan that the margin once made: the first marked
+    vertex or, without marks, among every (n // 256)-th sample in index
+    order, the first with the largest multiplicity above 1."""
     pts = curve.points
     if curve.vertex_marks:
         return pts[curve.vertex_marks[0]]
@@ -207,12 +208,26 @@ def _best_multiple_point_loop(curve, eps):
     return best
 
 
+def _full_scan_decision(curve, k, eps):
+    """The oracle: whether the full scan's point has multiplicity >= k."""
+    point = _best_multiple_point_loop(curve, eps)
+    return point is not None and curves.multiplicity(curve, point, eps) >= k
+
+
 def _moved_eight(halves, scale, seed):
     """A 2048-point figure-eight rotated, scaled and translated by 1e6 times
     the scale."""
     g = curves.sample_figure_eight(halves, 2048)
     return g.transformed(rotation=scale * _rot(2, seed),
                          translation=scale * 1e6 * np.array([0.6, -0.8]))
+
+
+def _marked_eight(shift, mark):
+    """The 2048-point figure-eight, its samples shifted cyclically by
+    `shift`, with one vertex mark."""
+    g = curves.sample_figure_eight(2, 2048)
+    return curves.DiscreteCurve(np.roll(g.points, shift, axis=0), closed=True,
+                                vertex_marks=(mark,))
 
 
 _SCAN_CURVES = {
@@ -230,6 +245,8 @@ _SCAN_CURVES = {
                                                   closed=True), 3),
     "open-half-leaf": (lambda: curves.canonical_half_leaf(2048), 2),
     "marked-propeller": (lambda: curves.propeller_curve(512), 3),
+    "eight-marked-at-a-simple-point": (lambda: _marked_eight(0, 5), 2),
+    "shifted-eight-marked-at-its-double-point": (lambda: _marked_eight(700, 700), 2),
 }
 _SCAN_CACHE = {}
 
@@ -248,24 +265,42 @@ def _margin_or_error(curve, k, eps):
         return str(err)
 
 
+def _full_scan_margin_or_error(curve, k, eps):
+    """`_margin_or_error` with the full scan's decision patched in."""
+    with mock.patch.object(energy, "_has_point_of_multiplicity", _full_scan_decision):
+        return _margin_or_error(curve, k, eps)
+
+
 @pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
 @pytest.mark.parametrize("rel_eps", [1e-6, 1e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("name", list(_SCAN_CURVES))
-def test_pruned_scan_finds_the_full_scans_point(name, rel_eps, monkeypatch):
-    """[DERIVED] the bound-pruned candidate scan returns the bytes of the
-    point that the full scan returns, and li_yau_margin the same value (or
-    the same error), under rigid motion, scales 1e-8 to 1e8 and a
-    translation of 1e6 times the scale, in 3D, open and with vertex marks."""
-    curve, k = _scan_curve(name)
+def test_pruned_scan_finds_the_full_scans_point(name, rel_eps):
+    """[DERIVED] for k = 2, 3, 4 li_yau_margin gives the value, or the error,
+    that it gives with the full scan's decision patched in, under rigid
+    motion, scales 1e-8 to 1e8 and a translation of 1e6 times the scale, in
+    3D, open and with vertex marks."""
+    curve, _ = _scan_curve(name)
     eps = rel_eps * curve.length()
-    want = _best_multiple_point_loop(curve, eps)
-    got = energy._best_multiple_point(curve, eps)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.tobytes() == want.tobytes()
-    margin = _margin_or_error(curve, k, eps)
-    monkeypatch.setattr(energy, "_best_multiple_point", _best_multiple_point_loop)
-    assert margin == _margin_or_error(curve, k, eps)
+    for k in (2, 3, 4):
+        assert _margin_or_error(curve, k, eps) == _full_scan_margin_or_error(curve, k, eps)
+
+
+@pytest.mark.parametrize("shift, found", [(700, False), (712, True)])
+def test_margin_finds_a_double_point_only_on_the_candidate_grid(shift, found):
+    """[DERIVED] shifted by 700 samples, the 2048-point figure-eight has its
+    double point at samples 700 and 1724, off the grid of every 8th sample,
+    so at the default eps both the scan and the full scan find no point of
+    multiplicity 2; shifted by 712 it has it on the grid (though off every
+    16th sample), and both find it."""
+    g = curves.sample_figure_eight(2, 2048)
+    curve = curves.DiscreteCurve(np.roll(g.points, shift, axis=0), closed=True)
+    eps = 1e-6 * curve.length()
+    assert curves.multiplicity(curve, curve.points[shift], eps) == 2
+    margin = _margin_or_error(curve, 2, eps)
+    assert margin == _full_scan_margin_or_error(curve, 2, eps)
+    assert isinstance(margin, float) == found
+    if not found:
+        assert margin.startswith("no point of multiplicity >= 2 found")
 
 
 @pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
@@ -277,8 +312,10 @@ def test_pruned_scan_finds_the_full_scans_point(name, rel_eps, monkeypatch):
 def test_pruned_scan_matches_full_scan_on_polygons_with_repeated_points(
         cells, dim, closed, scale, rel_eps):
     """[DERIVED] on random polygons on a lattice of spacing 1/4, which revisit
-    their points and pass near them, some at exactly eps, the pruned scan and
-    the full scan return the same point (or none)."""
+    their points and pass near them, some at exactly eps, li_yau_margin
+    gives for k = 2, 3 the value, or the error, that it gives with the full
+    scan's decision patched in (at scale 1e-160 that value is inf: B
+    overflows)."""
     pts = []
     for cell in cells:
         if not pts or cell[:dim] != pts[-1]:
@@ -288,11 +325,8 @@ def test_pruned_scan_matches_full_scan_on_polygons_with_repeated_points(
     assume(len(pts) >= 3)
     curve = curves.DiscreteCurve(0.25 * scale * np.array(pts, dtype=float), closed=closed)
     eps = rel_eps * scale
-    want = _best_multiple_point_loop(curve, eps)
-    got = energy._best_multiple_point(curve, eps)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.tobytes() == want.tobytes()
+    for k in (2, 3):
+        assert _margin_or_error(curve, k, eps) == _full_scan_margin_or_error(curve, k, eps)
 
 
 def test_pruned_scan_counts_samples_whose_squared_distance_underflows():
@@ -302,18 +336,21 @@ def test_pruned_scan_counts_samples_whose_squared_distance_underflows():
     curve = curves.DiscreteCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-163, 0.0],
                                   [-1.0, -1.0]])
     assert curves.multiplicity(curve, curve.points[0], 1e-170) == 2
-    assert energy._best_multiple_point(curve, 1e-170).tobytes() == curve.points[0].tobytes()
+    assert curves._has_point_of_multiplicity(curve, 2, 1e-170)
+    for k in (2, 3):
+        assert (_margin_or_error(curve, k, 1e-170)
+                == _full_scan_margin_or_error(curve, k, 1e-170))
 
 
 def _counting_multiplicity(monkeypatch):
     calls = []
-    real = energy.multiplicity
+    real = curves.multiplicity
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(energy, "multiplicity", counted)
+    monkeypatch.setattr(curves, "multiplicity", counted)
     return calls
 
 
@@ -322,16 +359,21 @@ def _counting_multiplicity(monkeypatch):
 @pytest.mark.parametrize("name", ["eight-2-at-1", "eight-4-at-1", "2-turn", "3-turn",
                                   "4-turn"])
 def test_pruned_scan_calls_multiplicity_rarely(name, rel_eps, monkeypatch):
-    """[DERIVED] at the margin's default eps = 1e-6 L the scan evaluates
-    multiplicity at most twice on the figure-eights and k-turn circles, where
-    the full scan evaluates it at each of 256 or 300 candidates; at no eps
-    does it evaluate it more often than the full scan."""
-    curve, _ = _scan_curve(name)
+    """[DERIVED] on the figure-eights and k-turn circles the test for a
+    k-fold point evaluates multiplicity at most twice wherever it finds one,
+    at every eps, and never more often than the full scan with its margin's
+    evaluation, which makes 257 or 301.  It finds none only on the 4-turn
+    circle at eps = 0.05 L, larger than the radius, where both scan fully."""
+    curve, k = _scan_curve(name)
+    eps = rel_eps * curve.length()
     calls = _counting_multiplicity(monkeypatch)
-    energy._best_multiple_point(curve, rel_eps * curve.length())
-    assert len(calls) <= len(curve.points[::max(1, curve.n_points // 256)])
-    if rel_eps == 1e-6:
-        assert len(calls) <= 2
+    found = curves._has_point_of_multiplicity(curve, k, eps)
+    ours = len(calls)
+    assert found == _full_scan_decision(curve, k, eps)
+    assert found == ((name, rel_eps) != ("4-turn", 5e-2))
+    assert ours <= len(calls) - ours
+    if found:
+        assert ours <= 2
 
 
 def test_pruned_scan_warns_on_coarse_eps_without_evaluating(monkeypatch):
