@@ -188,6 +188,7 @@ def cmd_network(args) -> int:
         })
         return EXIT_OK
     # sweep
+    curves._check_int(args.steps, 1, "steps")
     ms = np.linspace(args.m_lo, args.m_hi, args.steps)
     lines = ["m,formula_energy"]
     for m in ms:

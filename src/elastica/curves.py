@@ -2,8 +2,8 @@
 
 Provides the polyline carrier (its points are checked, and its edge lengths
 computed, once, when it is built), the wavelike and figure-eight samplers, the
-half-leaf building block, the tangent-tuple machinery for closed leafed
-elasticae (including the 3d propeller), the planar-closure sign search, and
+half-leaf building block, the tangent tuples that lay out leafed elasticae
+(including the 3d propeller), the planar-closure sign search, and
 multiplicity / embeddedness predicates.
 """
 
@@ -23,7 +23,6 @@ from .elliptic import constants
 __all__ = [
     "DiscreteCurve",
     "TangentTuple",
-    "LeafedElasticaSpec",
     "sample_wavelike",
     "sample_figure_eight",
     "canonical_half_leaf",
@@ -31,6 +30,7 @@ __all__ = [
     "planar_tangent_tuple",
     "propeller_eight_tuple",
     "assemble_leafed",
+    "propeller_curve",
     "search_planar_closure",
     "circle",
     "segment",
@@ -144,12 +144,15 @@ class DiscreteCurve:
 
 
 def _check_tangent_chain(t, closed: bool) -> np.ndarray:
-    """t as a read-only float (k, n) copy, after checking that its rows are
-    unit vectors (to 1e-12) and that each consecutive pair, the last and the
-    first too when closed, meets at the angle 2 phi* (cosines to 1e-10)."""
+    """t as a read-only float (k, n) copy, after checking that it has a row,
+    two when open, that its rows are unit vectors (to 1e-12) and that each
+    consecutive pair, the last and the first too when closed, meets at the
+    angle 2 phi* (cosines to 1e-10)."""
     t = np.array(t, dtype=float)
     if t.ndim != 2 or t.shape[0] < 1:
         raise ValueError("tangents must be a (k, n) array")
+    if not closed and t.shape[0] < 2:
+        raise ValueError("an open tangent chain needs at least 2 tangents")
     gram = t @ t.T
     # the comparisons are written so that NaN fails too
     if not (np.abs(np.sqrt(gram.diagonal()) - 1.0) <= 1e-12).all():
@@ -165,13 +168,15 @@ def _check_tangent_chain(t, closed: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentTuple:
-    """k unit vectors with cyclic inner products cos(2 phi*): the blueprint
-    of a closed leafed elastica."""
+    """The blueprint of a leafed elastica with k leaves: unit vectors whose
+    consecutive inner products are cos(2 phi*), a cyclic k-tuple when closed
+    and an open (k+1)-chain otherwise."""
 
     omegas: np.ndarray
+    closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas", _check_tangent_chain(self.omegas, closed=True))
+        object.__setattr__(self, "omegas", _check_tangent_chain(self.omegas, self.closed))
 
     @property
     def dimension(self) -> int:
@@ -179,29 +184,7 @@ class TangentTuple:
 
     @property
     def k(self) -> int:
-        return self.omegas.shape[0]
-
-
-@dataclass(frozen=True)
-class LeafedElasticaSpec:
-    """k equal-length leaves joined at one point; closed specs carry the
-    cyclic TangentTuple, open specs an open tangent chain."""
-
-    k: int
-    closed: bool
-    tangents: np.ndarray  # (k, n) cyclic for closed, (k+1, n) chain for open
-    leaf_length: float = 1.0
-
-    def __post_init__(self):
-        _check_int(self.k, 1, "k")
-        t = _check_tangent_chain(self.tangents, self.closed)
-        expected = self.k if self.closed else self.k + 1
-        if t.shape[0] != expected:
-            raise ValueError(f"expected {expected} tangents, got {t.shape[0]}")
-        # written so that NaN fails too
-        if not (math.isfinite(self.leaf_length) and self.leaf_length > 0):
-            raise ValueError("leaf_length must be finite and positive")
-        object.__setattr__(self, "tangents", t)
+        return self.omegas.shape[0] - (0 if self.closed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +203,15 @@ def sample_wavelike(m: float, s_lo: float, s_hi: float, n_samples: int) -> Discr
     return DiscreteCurve(pts, closed=False)
 
 
-def sample_figure_eight(N_halves: int, n_samples: int, closed: Optional[bool] = None) -> DiscreteCurve:
+def sample_figure_eight(N_halves: int, n_samples: int) -> DiscreteCurve:
     """N_halves half-periods of the figure-eight elastica on [0, 2 N K(m*)],
-    starting at the origin.  Even N_halves closes up; the closed flag defaults
-    accordingly."""
+    starting at the origin.  Even N_halves close up and give a closed curve,
+    odd N_halves an open one."""
     _check_int(N_halves, 1, "N_halves")
     # at least 8 samples per half-period
     _check_int(n_samples, 8 * N_halves, "n_samples")
     c = constants()
-    if closed is None:
-        closed = N_halves % 2 == 0
+    closed = N_halves % 2 == 0
     total = 2.0 * N_halves * c.K_star
     if closed:
         svals = np.linspace(0.0, total, n_samples, endpoint=False)
@@ -249,7 +231,7 @@ def canonical_half_leaf(n_samples: int) -> DiscreteCurve:
     """One half-period [0, 2K(m*)] of the figure-eight: starts and ends at the
     origin with tangents at angle 2 phi* and zero curvature at the ends."""
     _check_int(n_samples, 16, "n_samples")
-    return sample_figure_eight(1, n_samples, closed=False)
+    return sample_figure_eight(1, n_samples)
 
 
 def build_tangent_tuple_propeller() -> TangentTuple:
@@ -317,19 +299,17 @@ def _leaf_frame(a: np.ndarray, b: np.ndarray) -> tuple:
     return u / np.linalg.norm(u), w / np.linalg.norm(w)
 
 
-def assemble_leafed(spec: LeafedElasticaSpec, n_samples_per_leaf: int = 128) -> DiscreteCurve:
-    """Concatenate rigid-motion copies of the canonical half-leaf, one per
-    tangent pair, all joints at the origin; C^1 at joints by construction.
-    The spec's constructor has checked the tangent chain."""
-    t = spec.tangents
-    n = t.shape[1]
+def assemble_leafed(tangents: TangentTuple, n_samples_per_leaf: int) -> DiscreteCurve:
+    """Concatenate rigid-motion copies of the canonical half-leaf, scaled to
+    unit length, one per tangent pair, all joints at the origin; C^1 at
+    joints by construction.  The tuple's constructor has checked the chain."""
+    t = tangents.omegas
     leaf = canonical_half_leaf(n_samples_per_leaf)
-    scale = spec.leaf_length / leaf_reference_length()
-    xy = leaf.points * scale
+    xy = leaf.points * (1.0 / leaf_reference_length())
     pieces = []
     marks = []
     offset = 0
-    for i in range(spec.k):
+    for i in range(tangents.k):
         u, w = _leaf_frame(t[i], t[(i + 1) % len(t)])
         pts = np.outer(xy[:, 0], u) + np.outer(xy[:, 1], w)
         # joints exactly at the origin
@@ -339,10 +319,10 @@ def assemble_leafed(spec: LeafedElasticaSpec, n_samples_per_leaf: int = 128) -> 
         marks.append(offset)
         offset += pts.shape[0] - 1
     points = np.vstack(pieces)
-    if not spec.closed:
-        points = np.vstack([points, np.zeros((1, n))])
+    if not tangents.closed:
+        points = np.vstack([points, np.zeros((1, tangents.dimension))])
         marks.append(points.shape[0] - 1)
-    return DiscreteCurve(points, closed=spec.closed, vertex_marks=tuple(marks))
+    return DiscreteCurve(points, closed=tangents.closed, vertex_marks=tuple(marks))
 
 
 def leaf_reference_length() -> float:
@@ -350,11 +330,9 @@ def leaf_reference_length() -> float:
     return 2.0 * constants().K_star
 
 
-def propeller_curve(n_samples_per_leaf: int = 256, leaf_length: float = 1.0) -> DiscreteCurve:
+def propeller_curve(n_samples_per_leaf: int = 256) -> DiscreteCurve:
     """The closed 3-leafed elastica in R^3 built on the symmetric tuple."""
-    tup = build_tangent_tuple_propeller()
-    spec = LeafedElasticaSpec(k=3, closed=True, tangents=tup.omegas, leaf_length=leaf_length)
-    return assemble_leafed(spec, n_samples_per_leaf)
+    return assemble_leafed(build_tangent_tuple_propeller(), n_samples_per_leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_eps, _check_int, _has_point_of_multiplicity
+from .curves import DiscreteCurve, _check_int, _has_point_of_multiplicity
 from .elliptic import constants
 
 __all__ = [
@@ -106,24 +106,23 @@ def _end_tangents(curve: DiscreteCurve):
     return e / np.linalg.norm(e), f / np.linalg.norm(f)
 
 
-def total_curvature_piecewise(curves: Sequence[DiscreteCurve],
-                              junction_tol: float = 1e-9) -> PiecewiseFenchelReport:
+def total_curvature_piecewise(curves: Sequence[DiscreteCurve]) -> PiecewiseFenchelReport:
     """Total curvature of open curves forming a cycle, with external angles.
 
-    The external angle at vertex j is the angle between the end tangent of
+    Each curve must end within 1e-9 of where the next one starts.  The
+    external angle at vertex j is the angle between the end tangent of
     curve j and the start tangent of curve j+1 (cyclically); the report's
     defect is sum TC + sum angles - 2 pi.
     """
     N = len(curves)
     if N < 1:
         raise ValueError("need at least one curve")
-    _check_eps(junction_tol, "junction_tol")
     tangents = [_end_tangents(c) for c in curves]
     tc_parts = []
     angles = []
     for j, c in enumerate(curves):
         nxt = curves[(j + 1) % N]
-        if np.linalg.norm(c.points[-1] - nxt.points[0]) > junction_tol:
+        if np.linalg.norm(c.points[-1] - nxt.points[0]) > 1e-9:
             raise ValueError(f"junction mismatch between pieces {j} and {(j + 1) % N}")
         tc_parts.append(total_curvature(c))
         dot = float(np.clip(np.dot(tangents[j][1], tangents[(j + 1) % N][0]), -1.0, 1.0))

@@ -30,14 +30,14 @@ def _fourier_bump(rng: np.random.Generator, theta: np.ndarray,
     return out
 
 
-def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05,
-                     radius: float = 1.0) -> DiscreteCurve:
-    """Closed curve r(theta) = radius (1 + delta(theta)) with a random
-    low-mode radial perturbation of relative size `noise`."""
+def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05) -> DiscreteCurve:
+    """Closed curve r(theta) = 1 + delta(theta) with a random low-mode radial
+    perturbation of relative size `noise`."""
+    _check_int(seed, 0, "seed")
     _check_int(n_samples, 3, "n_samples")
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    r = radius * (1.0 + _fourier_bump(rng, theta, (2, 3, 4, 5, 6), noise))
+    r = 1.0 + _fourier_bump(rng, theta, (2, 3, 4, 5, 6), noise)
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     return DiscreteCurve(pts, closed=True)
 
@@ -45,6 +45,7 @@ def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05,
 def random_drop(seed: int, n_samples: int = 512) -> DiscreteCurve:
     """Open smooth loop with coinciding endpoints: a radial perturbation of a
     circle traversed once, sampled at theta = 0 and theta = 2 pi alike."""
+    _check_int(seed, 0, "seed")
     _check_int(n_samples, 2, "n_samples")
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, n_samples + 1)
@@ -55,16 +56,16 @@ def random_drop(seed: int, n_samples: int = 512) -> DiscreteCurve:
     return DiscreteCurve(pts, closed=False)
 
 
-def random_piecewise_cycle(seed: int, n_pieces: int = 4,
-                           n_samples: int = 256):
-    """Cycle of open wiggly arcs between random vertices on a circle.
+def random_piecewise_cycle(seed: int):
+    """Cycle of four open wiggly arcs, 256 samples each, between random
+    vertices on a circle.
 
     Each piece is a chord with a sinusoidal normal displacement of at least
     two full oscillations, so the pieces are clearly non-convex and the
     piecewise Fenchel defect is comfortably positive.
     """
-    _check_int(n_pieces, 3, "n_pieces")
-    _check_int(n_samples, 3, "n_samples")
+    _check_int(seed, 0, "seed")
+    n_pieces = 4
     rng = np.random.default_rng(seed)
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_pieces))
     # keep vertices well separated so chords are nondegenerate
@@ -72,7 +73,7 @@ def random_piecewise_cycle(seed: int, n_pieces: int = 4,
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_pieces))
     verts = np.column_stack([np.cos(angles), np.sin(angles)])
     pieces = []
-    t = np.linspace(0.0, 1.0, n_samples)
+    t = np.linspace(0.0, 1.0, 256)
     for j in range(n_pieces):
         a, b = verts[j], verts[(j + 1) % n_pieces]
         chord = b - a

@@ -4,6 +4,7 @@ Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -151,6 +152,40 @@ def test_generate_count_options_exit_0_or_2(option, value, tmp_path, capsys, mon
             assert out == ""
             assert len(err.strip().splitlines()) == 1
             assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "perturbed-circle", "--seed", "-1", "--n", "64"],
+     "error: seed must be an integer >= 0"),
+    (["generate", "drop", "--seed", "-1", "--n", "64"], "error: seed must be an integer >= 0"),
+    (["network", "sweep", "--m-lo", "0.1", "--m-hi", "0.8", "--steps", "0"],
+     "error: steps must be an integer >= 1"),
+    (["network", "sweep", "--m-lo", "0.1", "--m-hi", "0.8", "--steps", "-1"],
+     "error: steps must be an integer >= 1"),
+], ids=["perturbed-circle-seed", "drop-seed", "sweep-steps-0", "sweep-steps-negative"])
+def test_seed_and_sweep_steps_are_checked(argv, message, tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] a negative seed and a sweep of fewer than one step exit 2
+    with one line on stderr and write nothing: --seed -1 used to print
+    numpy's "expected non-negative integer", --steps 0 to write a file with
+    only a header and exit 0."""
+    monkeypatch.chdir(tmp_path)
+    assert dispatch([*argv, "--out", "o.csv"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_exported_name_resolves():
+    """[TRIVIAL] each name in a module's __all__ is defined there, so a
+    removed name cannot stay exported."""
+    missing = []
+    for path in sorted(Path(elastica.__file__).parent.glob("*.py")):
+        dotted = "elastica" if path.stem == "__init__" else f"elastica.{path.stem}"
+        module = importlib.import_module(dotted)
+        missing += [f"{dotted}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
+    assert "propeller_curve" in curves.__all__
 
 
 def test_domain_error_maps_to_usage_exit(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from elastica import curves, exact_bounds, networks
 from elastica.elliptic import complete_E, complete_K, constants, incomplete_E
-from elastica.energy import normalized_bending
+from elastica.energy import li_yau_margin, normalized_bending
 from elastica.random_shapes import perturbed_circle, random_drop, random_piecewise_cycle
 
 
@@ -169,10 +169,6 @@ _COUNT_ARGUMENTS = {
     "segment": (lambda v: curves.segment((0.0, 0.0), (1.0, 1.0), v), "n_samples", 3),
     "perturbed_circle": (lambda v: perturbed_circle(0, v), "n_samples", 3),
     "random_drop": (lambda v: random_drop(0, v), "n_samples", 2),
-    "random_piecewise_cycle-n_pieces": (lambda v: random_piecewise_cycle(0, v),
-                                        "n_pieces", 3),
-    "random_piecewise_cycle-n_samples": (lambda v: random_piecewise_cycle(0, 4, v),
-                                         "n_samples", 3),
     "build_wavelike_network": (lambda v: networks.build_wavelike_network(0.5, v),
                                "n_samples", 64),
     "coeff_A": (exact_bounds.coeff_A, "n", 1),
@@ -192,6 +188,17 @@ def test_counts_must_be_integers(call, value):
     a TypeError."""
     fn, name, low = _COUNT_ARGUMENTS[call]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}$"):
+        fn(value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, None, "3", -1], ids=repr)
+@pytest.mark.parametrize("fn", [perturbed_circle, random_drop, random_piecewise_cycle],
+                         ids=lambda fn: fn.__name__)
+def test_seeds_must_be_integers(fn, value):
+    """[TRIVIAL] a seed gets the one integer check: perturbed_circle(2.5, 64)
+    used to raise numpy's TypeError, random_drop(True, 64) to return the
+    seed-1 drop and random_piecewise_cycle(None) a new cycle on every call."""
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
         fn(value)
 
 
@@ -291,12 +298,13 @@ def test_assemble_leafed_propeller_multiplicity():
 
 
 def test_leafed_spec_validation():
-    """[TRIVIAL] tangent-count bookkeeping for open vs closed specs."""
-    tup = curves.build_tangent_tuple_propeller()
-    spec = curves.LeafedElasticaSpec(k=3, closed=True, tangents=tup.omegas)
-    assert spec.k == 3
-    with pytest.raises(ValueError):
-        curves.LeafedElasticaSpec(k=4, closed=True, tangents=tup.omegas)
+    """[TRIVIAL] a tangent tuple's k counts the leaves: the rows of a closed
+    tuple, the rows minus 1 of an open chain."""
+    omegas = curves.build_tangent_tuple_propeller().omegas
+    assert curves.TangentTuple(omegas).k == 3
+    assert curves.TangentTuple(omegas, closed=False).k == 2
+    assert curves.TangentTuple(omegas[:2], closed=False).k == 1
+    assert curves.TangentTuple(omegas).dimension == 3
 
 
 def _planar_chain(*angles_in_phi_star):
@@ -304,42 +312,62 @@ def _planar_chain(*angles_in_phi_star):
     return np.array([[math.cos(a * phi), math.sin(a * phi)] for a in angles_in_phi_star])
 
 
-@pytest.mark.parametrize("k, closed, tangents, leaf_length, match", [
+@pytest.mark.parametrize("closed, tangents, match", [
     # a unit chain whose rows are rescaled by 2 and 1/2 keeps every
     # consecutive dot product; it used to build a sheared figure-eight
-    (2, True, _planar_chain(1, -1) * [[2.0], [0.5]], 1.0, "unit"),
-    (2, False, _planar_chain(1, -1, -3) * [[1.0], [1.0 + 1e-9], [1.0]], 1.0, "unit"),
-    (3, True, np.eye(3), 1.0, "2 phi"),
-    (2, False, _planar_chain(1, -1, -2), 1.0, "2 phi"),
-    (2, True, _planar_chain(1, -1)[:, :, None], 1.0, r"\(k, n\)"),
-    (2, True, _planar_chain(1, -1), math.nan, "leaf_length"),
-    (2, True, _planar_chain(1, -1), math.inf, "leaf_length"),
-    (2, True, np.full((2, 2), math.nan), 1.0, "unit"),
-    # k = 0 used to pass, and assemble_leafed then failed inside numpy
-    (0, False, [[1.0, 0.0]], 1.0, "^k must be an integer >= 1$"),
-    (1.0, False, _planar_chain(1, -1), 1.0, "^k must be an integer >= 1$"),
-    (True, False, _planar_chain(1, -1), 1.0, "^k must be an integer >= 1$"),
+    (True, _planar_chain(1, -1) * [[2.0], [0.5]], "unit"),
+    (False, _planar_chain(1, -1, -3) * [[1.0], [1.0 + 1e-9], [1.0]], "unit"),
+    (True, np.eye(3), "2 phi"),
+    (False, _planar_chain(1, -1, -2), "2 phi"),
+    (True, _planar_chain(1, -1)[:, :, None], r"\(k, n\)"),
+    (True, np.full((2, 2), math.nan), "unit"),
+    # an open chain of one tangent has k = 0 leaves; assemble_leafed used to
+    # fail on it inside numpy
+    (False, [[1.0, 0.0]], "^an open tangent chain needs at least 2 tangents$"),
 ], ids=["sheared-closed", "non-unit-open", "wrong-angle-closed", "wrong-angle-open",
-        "not-a-matrix", "nan-leaf-length", "inf-leaf-length", "nan-tangents",
-        "zero-k", "float-k", "bool-k"])
-def test_leafed_spec_rejects_bad_tangent_chains(k, closed, tangents, leaf_length, match):
-    """[TRIVIAL] non-unit tangents, wrong consecutive angles and a leaf length
-    that is not finite and positive fail when the spec is built, not in
+        "not-a-matrix", "nan-tangents", "zero-k"])
+def test_leafed_spec_rejects_bad_tangent_chains(closed, tangents, match):
+    """[TRIVIAL] non-unit tangents, wrong consecutive angles and an open
+    chain without a leaf fail when the tangent tuple is built, not in
     assemble_leafed or never."""
     with pytest.raises(ValueError, match=match):
-        curves.LeafedElasticaSpec(k=k, closed=closed, tangents=tangents,
-                                  leaf_length=leaf_length)
+        curves.TangentTuple(tangents, closed=closed)
 
 
 def test_assemble_leafed_open_chain():
     """[PAPER] the open planar 2-leaf chain with tangent angles phi*, -phi*,
     -3 phi* is two copies of the optimal half-leaf: normalized bending
     (2 L)(2 B) = 4 varpi*, and the origin is passed 3 times."""
-    spec = curves.LeafedElasticaSpec(k=2, closed=False, tangents=_planar_chain(1, -1, -3))
-    c = curves.assemble_leafed(spec, 256)
+    chain = curves.TangentTuple(_planar_chain(1, -1, -3), closed=False)
+    c = curves.assemble_leafed(chain, 256)
     assert not c.closed and c.vertex_marks == (0, 255, 510)
     assert normalized_bending(c) / constants().varpi_star == pytest.approx(4.0, abs=1e-3)
     assert curves.multiplicity(c, np.zeros(2), 1e-6) == 3
+
+
+def _optimal_leafed_tuples():
+    out = {f"propeller-eight-{k}": curves.propeller_eight_tuple(k) for k in (5, 7)}
+    for signs in curves.search_planar_closure(4, 1e-6):
+        name = "planar-" + "".join("+" if s > 0 else "-" for s in signs)
+        out[name] = curves.planar_tangent_tuple(signs)
+    return out
+
+
+_OPTIMAL_LEAFED = _optimal_leafed_tuples()
+
+
+@pytest.mark.parametrize("name", list(_OPTIMAL_LEAFED))
+def test_optimal_leafed_elasticae_reach_the_bound(name):
+    """[PAPER] the leafed elasticae of the odd-k propeller + figure-eight
+    tuples in R^3 and of the six planar k = 4 closures attain the Li-Yau
+    bound: B-bar = varpi* k^2, with a k-fold point at the origin."""
+    tup = _OPTIMAL_LEAFED[name]
+    c = curves.assemble_leafed(tup, 256)
+    bound = tup.k ** 2 * constants().varpi_star
+    assert c.closed and c.dimension == tup.dimension
+    assert normalized_bending(c) / bound == pytest.approx(1.0, abs=5e-3)
+    assert curves.multiplicity(c, np.zeros(tup.dimension), 1e-6) == tup.k
+    assert abs(li_yau_margin(c, tup.k)) < 5e-3 * bound
 
 
 def test_discrete_curve_rejects_non_finite_coordinates():

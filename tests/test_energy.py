@@ -417,16 +417,6 @@ def test_piecewise_junction_mismatch_raises():
         energy.total_curvature_piecewise([a, b])
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-def test_piecewise_rejects_bad_junction_tol(tol):
-    """[TRIVIAL] junction_tol gets the one tolerance check: NaN used to
-    switch the junction check off."""
-    a = curves.segment(np.zeros(2), np.array([1.0, 0.0]), 16)
-    b = curves.segment(np.array([2.0, 0.0]), np.zeros(2), 16)
-    with pytest.raises(ValueError, match="^junction_tol must be finite and positive$"):
-        energy.total_curvature_piecewise([a, b], junction_tol=tol)
-
-
 def test_piecewise_circle_split_matches_smooth():
     """[DERIVED] splitting a circle into arcs adds no angle defect."""
     n = 720
