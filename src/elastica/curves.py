@@ -85,6 +85,14 @@ def _checked_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     return h
 
 
+def _check_closed(closed) -> bool:
+    """The one check of an open/closed flag: a bool or numpy bool, returned
+    as a Python bool."""
+    if not isinstance(closed, (bool, np.bool_)):
+        raise ValueError("closed must be true or false")
+    return bool(closed)
+
+
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Ordered point list in R^n with open/closed flag.
@@ -108,11 +116,13 @@ class DiscreteCurve:
                 isinstance(m, (int, np.integer)) and not isinstance(m, bool)
                 and 0 <= m < pts.shape[0] for m in self.vertex_marks):
             raise ValueError(f"vertex_marks must be integers in [0, {pts.shape[0]})")
-        h = _checked_edge_norms(pts.T, self.closed)
+        closed = _check_closed(self.closed)
+        h = _checked_edge_norms(pts.T, closed)
         pts = pts.copy()
         pts.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_edge_lengths", h)
 
     @property
@@ -176,7 +186,9 @@ class TangentTuple:
     closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas", _check_tangent_chain(self.omegas, self.closed))
+        closed = _check_closed(self.closed)
+        object.__setattr__(self, "omegas", _check_tangent_chain(self.omegas, closed))
+        object.__setattr__(self, "closed", closed)
 
     @property
     def dimension(self) -> int:

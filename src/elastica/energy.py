@@ -182,14 +182,20 @@ class EnergyReport:
 
 
 def report(curve: DiscreteCurve, lam: float = 1.0) -> EnergyReport:
+    """Every functional at lambda; raises if one of them overflows a float
+    (edges shorter than about 1e-154 square the curvature past it)."""
     _check_lambda(lam)
-    L = length(curve)
-    B = bending_energy(curve)
-    return EnergyReport(
-        length=L,
-        bending=B,
-        normalized_bending=L * B,
-        total_curvature=total_curvature(curve),
-        e_lambda=B + lam * L,
-        lam=lam,
-    )
+    with np.errstate(over="ignore"):
+        L = length(curve)
+        B = bending_energy(curve)
+        rep = EnergyReport(
+            length=L,
+            bending=B,
+            normalized_bending=L * B,
+            total_curvature=total_curvature(curve),
+            e_lambda=B + lam * L,
+            lam=lam,
+        )
+    if not all(map(math.isfinite, rep.as_dict().values())):
+        raise ValueError("an energy overflows a float (edges too short or lambda too large)")
+    return rep

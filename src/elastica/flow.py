@@ -186,7 +186,10 @@ def _geometry(curve: DiscreteCurve) -> _Geometry:
     kappa, w = _curvature_rows(X, curve.edge_lengths(), True)
     p = _cyclic_pad(X, 1)
     chords = p[:, 2:] - p[:, :-2]
-    T = chords / np.sqrt(_dot_rows(chords, chords))
+    c2 = _dot_rows(chords, chords)
+    if not c2.min() > 0.0:
+        raise ValueError("a node's two neighbours coincide (a cusp): no flow tangent there")
+    T = chords / np.sqrt(c2)
     # h_{i-1} + h_i: w is their half-sum, and halving and doubling are exact
     span = 2.0 * w
     lap = _cyclic_normal_derivative(_cyclic_normal_derivative(kappa, span, T), span, T)
@@ -363,6 +366,10 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     _check_closed(initial)
+    # the step divides by h^4 for the mean edge length h and multiplies
+    # curvatures of about 1/h, which overflow well inside 1e-77 < h < 1e77
+    if not 1e-60 <= initial.length() / initial.n_points <= 1e60:
+        raise ValueError("the flow needs a mean edge length between 1e-60 and 1e60")
     cur = _resample_uniform(initial, initial.n_points)
     if mode == "fixed-length":
         cur = DiscreteCurve(cur.points * (target / cur.length()), closed=True)

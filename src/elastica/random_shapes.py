@@ -32,9 +32,13 @@ def _fourier_bump(rng: np.random.Generator, theta: np.ndarray,
 
 def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05) -> DiscreteCurve:
     """Closed curve r(theta) = 1 + delta(theta) with a random low-mode radial
-    perturbation of relative size `noise`."""
+    perturbation of relative size `noise`, finite with 0 <= noise < 1 so that
+    the radius stays positive and the curve star-shaped and embedded."""
     _check_int(seed, 0, "seed")
     _check_int(n_samples, 3, "n_samples")
+    # written so that NaN fails too
+    if not 0.0 <= noise < 1.0:
+        raise ValueError("noise must be a finite number with 0 <= noise < 1")
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     r = 1.0 + _fourier_bump(rng, theta, (2, 3, 4, 5, 6), noise)

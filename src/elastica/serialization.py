@@ -4,7 +4,8 @@ Curves: CSV with a `dim,closed` header row followed by one point per row, or
 a JSON mirror carrying generator metadata.  Networks: a single JSON document
 with three curve blocks plus junction metadata.  All numbers are written with
 17 significant digits and '.' as the decimal separator so identical inputs
-produce byte-identical files.
+produce byte-identical files.  The JSON writer lays a document out itself, in
+the bytes of `json.dumps(indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -87,11 +88,7 @@ def curve_from_csv(path) -> DiscreteCurve:
 
 
 def _curve_block(curve: DiscreteCurve, generator: Optional[str], parameters: Optional[dict]):
-    block = {
-        "dim": curve.dimension,
-        "closed": curve.closed,
-        "points": [line.split(",") for line in _format_points(curve.points).split("\n")],
-    }
+    block = {"dim": curve.dimension, "closed": curve.closed, "points": curve.points}
     if generator is not None:
         block["generator"] = generator
         block["parameters"] = parameters or {}
@@ -160,6 +157,10 @@ def _read_json(path) -> dict:
 def _curve_from_block(block, where: str) -> DiscreteCurve:
     block = _object(block, where)
     points = _rows(_field(block, "points", where), "points", where)
+    dim = _field(block, "dim", where)
+    if not (isinstance(dim, int) and not isinstance(dim, bool) and dim == points.shape[1]):
+        raise ValueError(f"{where}: key 'dim' must be an integer equal to the width "
+                         "of the 'points' rows")
     closed = _field(block, "closed", where)
     if not isinstance(closed, bool):
         raise ValueError(f"{where}: key 'closed' must be true or false")
@@ -170,8 +171,38 @@ def _curve_from_block(block, where: str) -> DiscreteCurve:
                          vertex_marks=None if marks is None else tuple(marks))
 
 
-def _dump(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _points_text(points: np.ndarray, depth: int) -> str:
+    """The rows of `points` as a JSON list of lists of `format_float` strings
+    opening at nesting depth `depth`, laid out as `json.dumps(indent=2)` lays
+    it out, formatted with one `%` over the whole block."""
+    rows, dim = points.shape
+    pad = "\n" + "  " * depth
+    row = "[" + ",".join([f'{pad}    "{_FMT}"'] * dim) + f"{pad}  ]"
+    return ("[" + ",".join([f"{pad}  {row}"] * rows) + f"{pad}]") % tuple(points.ravel().tolist())
+
+
+def _object_text(doc: dict, depth: int) -> str:
+    """The document's own object `doc` opening at nesting depth `depth`, in
+    the bytes of `json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`
+    at that depth.  The writer lays out `points` (an array) and `curves` (a
+    list of curve blocks) itself; every other value is `json.dumps`'s own
+    text, re-indented (its newlines are all layout: strings escape theirs)."""
+    pad = "\n" + "  " * (depth + 1)
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        if key == "points":
+            text = _points_text(value, depth + 1)
+        elif key == "curves":
+            text = "[" + ",".join(f"{pad}  {_object_text(b, depth + 2)}" for b in value) + f"{pad}]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad)
+        items.append(f"{pad}{json.dumps(key)}: {text}")
+    return "{" + ",".join(items) + "\n" + "  " * depth + "}"
+
+
+def _dump(doc: dict, path) -> None:
+    Path(path).write_text(_object_text(doc, 0) + "\n")
 
 
 def curve_to_json(curve: DiscreteCurve, path, generator: Optional[str] = None,

@@ -4,17 +4,23 @@ Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import elastica
-from elastica import curves, flow, serialization
+from elastica import curves, flow, networks, serialization
 from elastica.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, RunManifest,
                           dispatch)
 
@@ -289,6 +295,13 @@ _GOOD_CURVE = {"kind": "curve", "dim": 2, "closed": True,
     ("network", {"kind": "theta-network", "curves": 5}, "'curves'"),
     ("network", {"kind": "theta-network", "curves": [_GOOD_CURVE] * 2}, "'curves'"),
     ("network", {"kind": "theta-network", "curves": [1, 2, 3]}, "curves[0]"),
+    ("energy", {**_GOOD_CURVE, "dim": 7}, "'dim'"),
+    ("energy", {**_GOOD_CURVE, "dim": "x"}, "'dim'"),
+    ("energy", {**_GOOD_CURVE, "dim": True}, "'dim'"),
+    ("energy", {**_GOOD_CURVE, "dim": 2.0}, "'dim'"),
+    ("energy", {k: v for k, v in _GOOD_CURVE.items() if k != "dim"}, "'dim'"),
+    ("network", {"kind": "theta-network", "curves": [{**_GOOD_CURVE, "dim": 3}] * 3},
+     "curves[0]: key 'dim'"),
 ])
 def test_malformed_json_documents_are_rejected(command, doc, key, tmp_path, capsys):
     """[TRIVIAL] a JSON document of the wrong shape exits 2 with one stderr
@@ -301,6 +314,53 @@ def test_malformed_json_documents_are_rejected(command, doc, key, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
+
+
+def test_generate_rejects_noise_outside_0_1(tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] --noise 1.5 exits 2 with one line and writes nothing: it
+    used to write a self-crossing curve with exit 0."""
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["generate", "perturbed-circle", "--seed", "0", "--noise", "1.5",
+                     "--out", "p.csv"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: noise must be a finite number with 0 <= noise < 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# closed curves that the energy or the flow cannot take, with the one line
+# each exits 2 with; each used to print numpy warnings, and the flow at 1e79
+# a traceback (OverflowError from h**4)
+_UNREADABLE_CURVES = {
+    "energy-1e-158": (["energy"], 1e-158, None,
+                      "an energy overflows a float (edges too short or lambda too large)"),
+    "flow-1e-77": (["flow"], 1e-77, None,
+                   "the flow needs a mean edge length between 1e-60 and 1e60"),
+    "flow-1e79": (["flow"], 1e79, None,
+                  "the flow needs a mean edge length between 1e-60 and 1e60"),
+    "flow-cusp": (["flow"], 1.0, [[0, 0], [1, 0], [0, 0], [1, 0]],
+                  "a node's two neighbours coincide (a cusp): no flow tangent there"),
+    "flow-collinear": (["flow"], 1.0, [[0, 0], [1, 0], [2, 0], [3, 0]],
+                       "a node's two neighbours coincide (a cusp): no flow tangent there"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE_CURVES))
+def test_curves_outside_the_numeric_range_exit_2_without_warning(case, tmp_path, capsys):
+    """[TRIVIAL] a curve too small or too large for the arithmetic, or with a
+    cusp, is refused where it enters the energy report or the flow."""
+    command, scale, points, message = _UNREADABLE_CURVES[case]
+    src = tmp_path / "c.json"
+    pts = scale * (curves.circle(2, 1.0, 12).points if points is None else np.array(points))
+    src.write_text(json.dumps({"kind": "curve", "dim": 2, "closed": True,
+                               "points": pts.tolist()}))
+    extra = ["--mode", "fixed-lambda", "--lambda", "1", "--steps", "2",
+             "--out", str(tmp_path / "t.csv")] if command == ["flow"] else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch([*command, "--in", str(src), *extra]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["energy", "network energy"])
@@ -497,3 +557,115 @@ def test_cli_runs_are_byte_identical(tmp_path, subprocess_env):
         f"{name}{suffix}" for name in ("pc.csv", "trace.csv", "sweep.csv")
         for suffix in ("", ".manifest.json"))
     assert len(runs[0][1]["trace.csv"].splitlines()) == 1 + 6   # t = 0, 4 checks, end
+
+
+# ---------------------------------------------------------------- reader fuzz
+
+_FUZZ_COMMANDS = {
+    "energy": ["energy", "--in", "{dir}/in.json"],
+    "flow": ["flow", "--in", "{dir}/in.json", "--mode", "fixed-length", "--steps", "2",
+             "--out", "{dir}/t.csv"],
+    "network energy": ["network", "energy", "--in", "{dir}/in.json"],
+}
+
+# JSON values, with the numbers and numeric strings a reader must refuse
+_NUMBERS = (st.integers() | st.floats()
+            | st.sampled_from(["nan", "-inf", "1e400", "-0", " 1", "1_0", "0x1", "1e300"]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def _written_documents():
+    """A planar closed curve with metadata, a marked propeller in R^3 and a
+    wavelike network, each as its writer lays it out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        texts = []
+        serialization.curve_to_json(curves.circle(2, 1.0, 12), path, generator="circle",
+                                    parameters={"n": 12})
+        texts.append(path.read_text())
+        serialization.curve_to_json(curves.propeller_curve(16), path)
+        texts.append(path.read_text())
+        serialization.network_to_json(networks.build_wavelike_network(0.5, 64), path)
+        texts.append(path.read_text())
+    return texts
+
+
+_WRITTEN = _written_documents()
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A written document with one value, reached by a random walk from the
+    root, deleted, replaced by an arbitrary JSON value or, in a list, by a
+    copy of another item (a repeated point, a cusp)."""
+    doc = json.loads(draw(st.sampled_from(_WRITTEN)))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        parent, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                 else range(len(node))))
+        node = node[key]
+    if parent is None:
+        return json.dumps(draw(_JSON_VALUES)).encode()
+    how = draw(st.sampled_from(["delete", "replace", "copy"]))
+    if how == "delete":
+        del parent[key]
+    elif how == "copy" and isinstance(parent, list):
+        parent[key] = parent[draw(st.integers(0, len(parent) - 1))]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+def _scaled(doc, factor: float):
+    """doc with every point and junction multiplied by factor."""
+    if isinstance(doc, list):
+        return [_scaled(v, factor) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {}
+    for key, value in doc.items():
+        if key == "points":
+            out[key] = [[repr(float(v) * factor) for v in row] for row in value]
+        elif key in ("junction_a", "junction_b"):
+            out[key] = [repr(float(v) * factor) for v in value]
+        else:
+            out[key] = _scaled(value, factor)
+    return out
+
+
+_FUZZ_INPUTS = (_JSON_VALUES.map(lambda v: json.dumps(v).encode())
+                | _mutated_documents()
+                | st.builds(lambda text, e: json.dumps(_scaled(json.loads(text), 10.0 ** e)).encode(),
+                            st.sampled_from(_WRITTEN), st.integers(-330, 308))
+                | st.binary(max_size=64)
+                | st.tuples(st.sampled_from(_WRITTEN), st.integers(0, 4000))
+                .map(lambda t: t[0][:t[1]].encode()))
+
+
+@given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)), data=_FUZZ_INPUTS)
+def test_reader_fuzz_exits_with_one_line_or_valid_output(command, data):
+    """[TRIVIAL] energy, a 2-step flow and network energy, fed arbitrary JSON
+    values, mutated, scaled and truncated written documents and raw bytes,
+    exit 0 or 2 (the flow also 3, its numerical failure) without a warning:
+    with one line on stderr, or on 0 with JSON (the flow: its one summary
+    line) on stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "in.json").write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = dispatch([a.format(dir=tmp) for a in _FUZZ_COMMANDS[command]])
+    assert [str(w.message) for w in caught] == []
+    assert code in (EXIT_OK, EXIT_USAGE) or (command == "flow" and code == EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+    elif command == "flow":
+        assert out.getvalue().startswith("converged=") and len(out.getvalue().splitlines()) == 1
+    else:
+        json.loads(out.getvalue())

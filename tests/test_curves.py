@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elastica import curves, exact_bounds, networks
+from elastica import curves, exact_bounds, networks, serialization
 from elastica.elliptic import complete_E, complete_K, constants, incomplete_E
 from elastica.energy import li_yau_margin, normalized_bending
 from elastica.random_shapes import perturbed_circle, random_drop, random_piecewise_cycle
@@ -200,6 +200,52 @@ def test_seeds_must_be_integers(fn, value):
     seed-1 drop and random_piecewise_cycle(None) a new cycle on every call."""
     with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
         fn(value)
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None, 1.0], ids=repr)
+@pytest.mark.parametrize("make", [
+    lambda closed: curves.DiscreteCurve(curves.circle(2, 1.0, 16).points, closed=closed),
+    lambda closed: curves.TangentTuple(curves.build_tangent_tuple_propeller().omegas,
+                                       closed=closed),
+], ids=["DiscreteCurve", "TangentTuple"])
+def test_closed_must_be_a_bool(make, value):
+    """[TRIVIAL] the open/closed flag gets one check where it enters:
+    closed="no" used to make a closed curve, whose length counted the
+    closing edge."""
+    with pytest.raises(ValueError, match="^closed must be true or false$"):
+        make(value)
+
+
+def test_numpy_bool_closed_is_stored_as_a_bool(tmp_path):
+    """[TRIVIAL] closed=np.bool_(True) is kept as Python's True, so the JSON
+    writer takes the curve (it used to raise "Object of type bool is not JSON
+    serializable")."""
+    curve = curves.DiscreteCurve(curves.circle(2, 1.0, 16).points, closed=np.bool_(True))
+    assert curve.closed is True
+    assert curve.length() == pytest.approx(curves.circle(2, 1.0, 16).length(), rel=1e-15)
+    tangents = curves.TangentTuple(curves.build_tangent_tuple_propeller().omegas,
+                                   closed=np.bool_(False))
+    assert tangents.closed is False and tangents.k == 2
+    serialization.curve_to_json(curve, tmp_path / "c.json")
+    assert serialization.curve_from_json(tmp_path / "c.json").closed is True
+
+
+@pytest.mark.parametrize("noise", [1.0, 1.5, -0.01, math.nan, math.inf, -math.inf], ids=repr)
+def test_perturbed_circle_noise_must_keep_the_radius_positive(noise):
+    """[TRIVIAL] noise outside [0, 1) is refused: at noise 1.5 the radius
+    1 + delta reached below 0 and the curve crossed itself."""
+    with pytest.raises(ValueError, match=r"^noise must be a finite number with 0 <= noise < 1$"):
+        perturbed_circle(0, 256, noise)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.5, 0.99])
+def test_perturbed_circle_is_embedded_for_noise_below_1(noise):
+    """[DERIVED] for 0 <= noise < 1 the radius stays positive and the
+    star-shaped polygon is embedded."""
+    for seed in range(5):
+        curve = perturbed_circle(seed, 256, noise)
+        assert np.linalg.norm(curve.points, axis=1).min() > 0.0
+        assert curves.is_embedded(curve)
 
 
 @pytest.mark.parametrize("k", [3, 5])

@@ -4,9 +4,15 @@ Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
 import json
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastica import curves, networks, serialization
 from elastica.random_shapes import perturbed_circle
@@ -96,3 +102,107 @@ def test_writers_match_a_per_value_format_float_join(tmp_path):
     for back in (serialization.curve_from_csv(csv_path),
                  serialization.curve_from_json(json_path)):
         assert back.points.tobytes() == points.tobytes()
+
+
+def _old_block(curve, generator=None, parameters=None) -> dict:
+    """A curve block as the writer used to build it, before handing it to
+    `json.dumps(indent=2, sort_keys=True)`: points as lists of strings."""
+    block = {"dim": curve.dimension, "closed": curve.closed,
+             "points": [[serialization.format_float(v) for v in row] for row in curve.points]}
+    if generator is not None:
+        block["generator"] = generator
+        block["parameters"] = parameters or {}
+    if curve.vertex_marks is not None:
+        block["vertex_marks"] = list(curve.vertex_marks)
+    return block
+
+
+def _old_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, 1e-300, 1.0, -2.5, 0.1, 1.0 / 3.0])
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5))
+# str-keyed and int-keyed dicts, non-ASCII and control characters, empty containers
+_METADATA = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=10)
+
+
+@st.composite
+def _curves(draw):
+    """Curves of dimension 2-4, open or closed, marked or not, whose
+    coordinates include -0.0, subnormals and a constant +-1e300 column (so
+    that every edge length stays finite)."""
+    dim, n = draw(st.integers(2, 4)), draw(st.integers(3, 12))
+    pts = np.array([[draw(_SPECIAL | st.floats(-1e6, 1e6)) for _ in range(dim)]
+                    for _ in range(n)])
+    # consecutive points distinct, edges far from overflow and underflow
+    pts[:, 0] = np.arange(n) * draw(st.sampled_from([1.0, -0.5, 1e-100]))
+    big = draw(st.sampled_from([None, 1e300, -1e300]))
+    if big is not None:
+        pts[:, dim - 1] = big
+    marks = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=3).map(tuple))
+    return curves.DiscreteCurve(pts, closed=draw(st.booleans()), vertex_marks=marks)
+
+
+@given(curve=_curves(), generator=st.none() | st.text(max_size=5),
+       parameters=st.none() | st.dictionaries(st.text(max_size=5), _METADATA, max_size=4)
+       | st.dictionaries(st.integers(), _METADATA, max_size=4))
+def test_curve_json_has_the_bytes_of_indented_json_dumps(curve, generator, parameters):
+    """[DERIVED] the fixed-layout curve writer writes the text of
+    json.dumps(indent=2, sort_keys=True, allow_nan=False) of the document
+    with its points as lists of format_float strings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        serialization.curve_to_json(curve, path, generator=generator, parameters=parameters)
+        text = path.read_text()
+    assert text == _old_text({"kind": "curve", **_old_block(curve, generator, parameters)})
+
+
+@given(m=st.sampled_from([0.3, 0.6, 0.8]), tangents=st.booleans(),
+       generator=st.none() | st.text(max_size=5),
+       parameters=st.none() | st.dictionaries(st.text(max_size=5), _METADATA, max_size=4))
+def test_network_json_has_the_bytes_of_indented_json_dumps(m, tangents, generator, parameters):
+    """[DERIVED] the same for a network document, with and without its
+    junction tangents."""
+    net = networks.build_wavelike_network(m, 64)
+    if not tangents:
+        net = replace(net, start_tangents=None, end_tangents=None)
+    fmt = serialization.format_float
+    doc = {"kind": "theta-network", "curves": [_old_block(c) for c in net.curves],
+           "junction_a": [fmt(v) for v in net.junction_a],
+           "junction_b": [fmt(v) for v in net.junction_b],
+           "angle_spec": [fmt(a) for a in net.angle_spec]}
+    if tangents:
+        doc["start_tangents"] = [[fmt(v) for v in row] for row in net.start_tangents]
+        doc["end_tangents"] = [[fmt(v) for v in row] for row in net.end_tangents]
+    if generator is not None:
+        doc["generator"] = generator
+        doc["parameters"] = parameters or {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "n.json"
+        serialization.network_to_json(net, path, generator=generator, parameters=parameters)
+        text = path.read_text()
+    assert text == _old_text(doc)
+
+
+@pytest.mark.parametrize("parameters, error", [
+    ({"radius": [1.0, {"x": math.nan}]}, ValueError),
+    ({"radius": math.inf}, ValueError),
+    ({"a": 1, 2: "b"}, TypeError),   # keys of two types do not sort
+])
+def test_json_writers_refuse_what_json_dumps_refuses(parameters, error, tmp_path):
+    """[TRIVIAL] parameters that json.dumps(sort_keys=True, allow_nan=False)
+    refuses are refused by both writers, with its exception."""
+    with pytest.raises(error):
+        serialization.curve_to_json(curves.circle(2, 1.0, 16), tmp_path / "c.json",
+                                    generator="circle", parameters=parameters)
+    with pytest.raises(error):
+        serialization.network_to_json(networks.build_wavelike_network(0.5, 64),
+                                      tmp_path / "n.json", generator="wavelike",
+                                      parameters=parameters)
