@@ -5,9 +5,10 @@ verify.  Exit codes: 0 success, 1 verification failure, 2 usage error
 (including rejected input: every float option must be a finite number, and
 the flow rejects a non-positive --L0), 3 numerical failure (a flow step that
 still raised the energy after 20 halvings of dt).
-Every output file gets a RunManifest JSON written beside it; all numeric
+Every output file gets a manifest JSON written beside it; all numeric
 output is deterministic given identical flags (randomized generators take a
-mandatory --seed).
+mandatory --seed).  Every usage error is one line on stderr: argparse's, or
+"error: ..." from `dispatch`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,31 +43,17 @@ def constants_checksum() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    outputs: list = field(default_factory=list)
-    versions: dict = field(default_factory=lambda: {
-        "toolkit": __version__,
-        "constants_checksum": constants_checksum(),
-    })
-
-    def write(self) -> None:
-        for out in self.outputs:
-            path = Path(out).with_suffix(Path(out).suffix + ".manifest.json")
-            path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True,
-                                       allow_nan=False) + "\n")
-
-
-def _manifest(args, outputs) -> None:
-    params = {k: v for k, v in vars(args).items()
-              if k != "func" and not k.startswith("_")}
-    cmd = params.pop("command")
+def write_manifest(args, out) -> None:
+    """Write <out>.manifest.json: the command, its options, the output path
+    and the versions."""
+    params = {k: v for k, v in vars(args).items() if k != "func"}
+    command = params.pop("command")
     if "subcommand" in params:
-        cmd = f"{cmd} {params.pop('subcommand')}"
-    RunManifest(command=cmd, parameters=params,
-                outputs=[str(o) for o in outputs]).write()
+        command = f"{command} {params.pop('subcommand')}"
+    doc = {"command": command, "parameters": params, "outputs": [str(out)],
+           "versions": {"toolkit": __version__, "constants_checksum": constants_checksum()}}
+    Path(f"{out}.manifest.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _load_curve(path) -> curves.DiscreteCurve:
@@ -93,37 +80,29 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
+# each generator kind: the function that builds it and the options it takes,
+# in its argument order
+GENERATORS = {
+    "wavelike": (curves.sample_wavelike, ("m", "s_lo", "s_hi", "n")),
+    "figure-eight": (curves.sample_figure_eight, ("halves", "n")),
+    "half-leaf": (curves.canonical_half_leaf, ("n",)),
+    "propeller": (curves.propeller_curve, ("n",)),
+    "circle": (curves.circle, ("dim", "radius", "n", "turns")),
+    "perturbed-circle": (perturbed_circle, ("seed", "n", "noise")),
+    "drop": (random_drop, ("seed", "n")),
+}
+
+
 def cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "wavelike":
+    build, names = GENERATORS[args.kind]
+    params = {name: getattr(args, name) for name in names}
+    if args.kind == "wavelike":
         K = elliptic.complete_K(args.m)
-        s_lo = -K if args.s_lo is None else args.s_lo
-        s_hi = K if args.s_hi is None else args.s_hi
-        curve = curves.sample_wavelike(args.m, s_lo, s_hi, args.n)
-        params = {"m": args.m, "s_lo": s_lo, "s_hi": s_hi, "n": args.n}
-    elif kind == "figure-eight":
-        curve = curves.sample_figure_eight(args.halves, args.n)
-        params = {"halves": args.halves, "n": args.n}
-    elif kind == "half-leaf":
-        curve = curves.canonical_half_leaf(args.n)
-        params = {"n": args.n}
-    elif kind == "propeller":
-        curve = curves.propeller_curve(n_samples_per_leaf=args.n)
-        params = {"n": args.n}
-    elif kind == "circle":
-        curve = curves.circle(args.dim, args.radius, args.n, turns=args.turns)
-        params = {"dim": args.dim, "radius": args.radius, "n": args.n,
-                  "turns": args.turns}
-    elif kind == "perturbed-circle":
-        curve = perturbed_circle(args.seed, args.n, args.noise)
-        params = {"seed": args.seed, "n": args.n, "noise": args.noise}
-    elif kind == "drop":
-        curve = random_drop(args.seed, args.n)
-        params = {"seed": args.seed, "n": args.n}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind!r}")
-    _save_curve(curve, args.out, kind, params)
-    _manifest(args, [args.out])
+        params["s_lo"] = -K if args.s_lo is None else args.s_lo
+        params["s_hi"] = K if args.s_hi is None else args.s_hi
+    curve = build(*params.values())
+    _save_curve(curve, args.out, args.kind, params)
+    write_manifest(args, args.out)
     print(f"wrote {args.out} ({curve.n_points} points, "
           f"{'closed' if curve.closed else 'open'})")
     return EXIT_OK
@@ -134,7 +113,17 @@ def cmd_energy(args) -> int:
     rep = energy.report(curve, lam=args.lam)
     doc = rep.as_dict()
     if args.k is not None:
-        doc["li_yau_margin"] = energy.li_yau_margin(curve, args.k)
+        # the margin warns when its eps is coarse for the sampling: its first
+        # warning goes into the error line, or into one line of its own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                doc["li_yau_margin"] = energy.li_yau_margin(curve, args.k)
+            except ValueError as exc:
+                parts = [str(exc)] + [str(w.message) for w in caught[:1]]
+                raise ValueError("; ".join(parts)) from None
+        for w in caught[:1]:
+            print(f"warning: {w.message}", file=sys.stderr)
         doc["k"] = args.k
     _print_json(doc)
     return EXIT_OK
@@ -144,8 +133,7 @@ def cmd_flow(args) -> int:
     curve = _load_curve(args.infile)
     if args.mode == "fixed-lambda":
         if args.lam is None:
-            print("flow: --lambda is required in fixed-lambda mode", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--lambda is required in fixed-lambda mode")
         target = args.lam
     else:
         target = curve.length() if args.L0 is None else args.L0
@@ -157,16 +145,12 @@ def cmd_flow(args) -> int:
     def observer(time, en, length, roundness, embedded):
         rows.append((time, en, length, roundness, int(embedded)))
 
-    try:
-        rep = flow.run(curve, args.mode, target, config, observer=observer)
-    except flow.FlowStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    rep = flow.run(curve, args.mode, target, config, observer=observer)
     header = "time,energy,length,roundness,embedded"
     body = "\n".join(",".join(format_float(v) if i < 4 else str(v)
                               for i, v in enumerate(row)) for row in rows)
     Path(args.out).write_text(header + "\n" + body + "\n")
-    _manifest(args, [args.out])
+    write_manifest(args, args.out)
     print(f"converged={rep.converged} roundness={rep.final_roundness:.3e} "
           f"limit_radius={rep.limit_radius:.6f} embedded={rep.always_embedded}")
     return EXIT_OK
@@ -177,7 +161,7 @@ def cmd_network(args) -> int:
         net = networks.build_wavelike_network(args.m, args.samples)
         network_to_json(net, args.out, generator="wavelike",
                         parameters={"m": args.m, "samples": args.samples})
-        _manifest(args, [args.out])
+        write_manifest(args, args.out)
         print(f"wrote {args.out} (E = {networks.theta_energy(net):.6f})")
         return EXIT_OK
     if args.subcommand == "energy":
@@ -194,7 +178,7 @@ def cmd_network(args) -> int:
     for m in ms:
         lines.append(f"{format_float(m)},{format_float(networks.network_energy_formula(m))}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    _manifest(args, [args.out])
+    write_manifest(args, args.out)
     print(f"wrote {args.out} ({args.steps} rows)")
     return EXIT_OK
 
@@ -252,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("generate", help="sample a curve and write it to a file")
-    sp.add_argument("kind", choices=["wavelike", "figure-eight", "half-leaf",
-                                     "propeller", "circle", "perturbed-circle",
-                                     "drop"])
+    sp.add_argument("kind", choices=list(GENERATORS))
     sp.add_argument("--m", type=_finite_float, default=0.5, help="elliptic parameter")
     sp.add_argument("--s-lo", type=_finite_float, default=None)
     sp.add_argument("--s-hi", type=_finite_float, default=None)
@@ -326,14 +308,11 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "kind", None) in ("perturbed-circle", "drop") and args.seed is None:
-        print("generate: --seed is required for randomized kinds", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, flow.FlowStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERICAL if isinstance(exc, flow.FlowStepError) else EXIT_USAGE
 
 
 def main() -> None:

@@ -509,8 +509,15 @@ _GRID = 2.0**40
 
 
 def _snap(points: np.ndarray) -> np.ndarray:
-    scale = max(1.0, np.abs(points).max())
-    return np.rint(points / scale * _GRID).astype(np.int64)
+    """Integer coordinates of points on a grid of 2^-40 times the half-extent
+    of their bounding box, centred in it."""
+    # reduced along contiguous coordinate rows: along axis 0 of the narrow
+    # (n, dim) array the reduction is many times slower
+    rows = points.T.copy()
+    box_lo, box_hi = rows.min(axis=1), rows.max(axis=1)
+    centre = 0.5 * box_lo + 0.5 * box_hi
+    half = float((0.5 * box_hi - 0.5 * box_lo).max())
+    return np.rint((points - centre) * (_GRID / half)).astype(np.int64)
 
 
 def _orient(a, b, c) -> int:
@@ -542,6 +549,7 @@ def _segments_intersect_2d(a, b, c, d) -> bool:
 
 
 def _segment_distance(p1, p2, q1, q2) -> float:
+    """Distance between two segments of positive length."""
     d1 = p2 - p1
     d2 = q2 - q1
     r = p1 - q1
@@ -551,10 +559,11 @@ def _segment_distance(p1, p2, q1, q2) -> float:
     c = d1 @ r
     b = d1 @ d2
     denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e if e > 1e-30 else 0.0
-    t = np.clip(t, 0.0, 1.0)
-    s = np.clip((b * t - c) / a, 0.0, 1.0) if a > 1e-30 else 0.0
+    # a determinant within rounding of a * e: the segments count as parallel
+    parallel = denom <= sys.float_info.epsilon * a * e
+    s = 0.0 if parallel else np.clip((b * f - c * e) / denom, 0.0, 1.0)
+    t = np.clip((b * s + f) / e, 0.0, 1.0)
+    s = np.clip((b * t - c) / a, 0.0, 1.0)
     return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
 
 
@@ -591,15 +600,18 @@ def is_embedded(curve: DiscreteCurve) -> bool:
     """True iff no two non-adjacent segments intersect.
 
     Planar curves use exact integer orientation predicates on coordinates
-    snapped to a 2^-40 grid; higher dimensions test segment-segment distance
-    against 1e-9 x length."""
+    snapped to a grid of 2^-40 times the half-extent of the curve's box;
+    higher dimensions test segment-segment distance against 1e-9 x length.
+    Neither uses an absolute threshold, so the answer does not depend on
+    the curve's scale or position."""
     pts = curve.points
     starts = pts if curve.closed else pts[:-1]
     ends = np.roll(pts, -1, axis=0) if curve.closed else pts[1:]
     lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
     if curve.dimension == 2:
-        snapped = _snap(np.vstack([starts, ends]))
-        s, e = snapped[:len(starts)], snapped[len(starts):]
+        # segment i runs from snapped point i to point i + 1, cyclically
+        s = _snap(pts)
+        e = np.roll(s, -1, axis=0)
         return not any(_segments_intersect_2d(s[i], e[i], s[j], e[j])
                        for i, j in _candidate_pairs(lo, hi, curve.closed))
     tol = 1e-9 * curve.length()

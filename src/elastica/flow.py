@@ -50,7 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import DiscreteCurve, _checked_edge_norms, _dot_rows, _edge_norms, is_embedded
+from .curves import (DiscreteCurve, _check_eps, _check_int, _checked_edge_norms, _dot_rows,
+                     _edge_norms, is_embedded)
 from .energy import _check_lambda, _curvature_rows
 
 __all__ = [
@@ -78,13 +79,10 @@ class FlowConfig:
     embed_check_every: int = 50      # embeddedness monitoring cadence
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.tol_velocity)):
-            raise ValueError("FlowConfig dt and tol_velocity must be finite and positive")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                   for v in (self.max_steps, self.embed_check_every)):
-            raise ValueError("FlowConfig max_steps and embed_check_every "
-                             "must be integers >= 1")
+        _check_eps(self.dt, "FlowConfig dt")
+        _check_eps(self.tol_velocity, "FlowConfig tol_velocity")
+        _check_int(self.max_steps, 1, "FlowConfig max_steps")
+        _check_int(self.embed_check_every, 1, "FlowConfig embed_check_every")
 
 
 def _check_closed(curve: DiscreteCurve) -> None:
@@ -154,10 +152,14 @@ class _Geometry:
     L: float
 
     def velocity(self, lam: float) -> np.ndarray:
-        return -self.lap - 0.5 * self.k2 * self.kappa + lam * self.kappa
+        # a lambda or a dt far too large for the curve may overflow here or in
+        # the implicit step; the check of the step's output refuses the
+        # non-finite points that result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -self.lap - 0.5 * self.k2 * self.kappa + lam * self.kappa
 
     def lambda_fixed_length(self) -> float:
-        if self.B < 1e-14:
+        if not self.B > 0.0:
             raise ValueError("zero curvature: fixed-length multiplier undefined")
         lap_k = _dot_rows(self.lap, self.kappa)
         return float(np.sum((lap_k + 0.5 * self.k2 * self.k2) * self.w)) / self.B
@@ -305,13 +307,14 @@ def _implicit_step(X: np.ndarray, vel: np.ndarray, h: float, dt: float,
     the shift is added and subtracted."""
     n = X.shape[1]
     ang = _fft_angles(n)
-    sym = ang**2 / h**4 + sigma * ang / h**2
     p = _cyclic_pad(X, 2)   # p[:, i + 2] = X[:, i]
     d4 = (p[:, 4:] - 4.0 * p[:, 3:-1] + 6.0 * X - 4.0 * p[:, 1:-3] + p[:, :-4]) / h**4
     d2 = (p[:, 3:-1] - 2.0 * X + p[:, 1:-3]) / h**2
-    rhs = X + dt * (vel + d4 - sigma * d2)
-    denom = 1.0 + dt * sym
-    return np.fft.irfft(np.fft.rfft(rhs, axis=1) / denom, n=n, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # see `_Geometry.velocity`
+        sym = ang**2 / h**4 + sigma * ang / h**2
+        rhs = X + dt * (vel + d4 - sigma * d2)
+        denom = 1.0 + dt * sym
+        return np.fft.irfft(np.fft.rfft(rhs, axis=1) / denom, n=n, axis=1)
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -360,15 +363,17 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
         _check_lambda(lambda_or_L0)
         lam, target = lambda_or_L0, 0.0
     elif mode == "fixed-length":
-        if not (math.isfinite(lambda_or_L0) and lambda_or_L0 > 0):
-            raise ValueError("L0 must be finite and positive")
+        _check_eps(lambda_or_L0, "L0")
         lam, target = 0.0, lambda_or_L0
     else:
         raise ValueError(f"unknown mode {mode!r}")
     _check_closed(initial)
     # the step divides by h^4 for the mean edge length h and multiplies
-    # curvatures of about 1/h, which overflow well inside 1e-77 < h < 1e77
-    if not 1e-60 <= initial.length() / initial.n_points <= 1e60:
+    # curvatures of about 1/h, which overflow well inside 1e-77 < h < 1e77;
+    # the input is remeshed at its own length, then flows at L0 (in
+    # fixed-lambda mode the target is 0, and it flows at its own length)
+    L = initial.length()
+    if not all(1e-60 <= length / initial.n_points <= 1e60 for length in (L, target or L)):
         raise ValueError("the flow needs a mean edge length between 1e-60 and 1e60")
     cur = _resample_uniform(initial, initial.n_points)
     if mode == "fixed-length":

@@ -3,6 +3,7 @@
 Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -16,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import elastica
 from elastica import curves, flow, networks, serialization
-from elastica.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, RunManifest,
-                          dispatch)
+from elastica.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, dispatch,
+                          write_manifest)
 
 
 def test_constants_json(capsys):
@@ -54,6 +55,7 @@ def test_generate_determinism(tmp_path, capsys):
 def test_generate_randomized_requires_seed(tmp_path, capsys):
     assert dispatch(["generate", "drop", "--out",
                      str(tmp_path / "d.csv")]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: seed must be an integer >= 0\n")
 
 
 def test_usage_error_exit_code(capsys):
@@ -99,9 +101,11 @@ def test_flow_trace(tmp_path, capsys):
 def test_flow_fixed_lambda_requires_lambda(tmp_path, capsys):
     src = tmp_path / "pc.csv"
     dispatch(["generate", "circle", "--n", "64", "--out", str(src)])
+    capsys.readouterr()
     assert dispatch(["flow", "--in", str(src), "--mode", "fixed-lambda",
                      "--steps", "10", "--out", str(tmp_path / "t.csv")]) \
         == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --lambda is required in fixed-lambda mode\n")
 
 
 def test_network_pipeline(tmp_path, capsys):
@@ -507,6 +511,45 @@ def test_flow_rejects_negative_lambda(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("L0", ["1e80", "1e-300", "1e70"])
+def test_flow_range_guard_applies_after_the_L0_rescale(L0, tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] an --L0 that puts the mean edge of the flowing curve outside
+    [1e-60, 1e60] exits 2 with the range guard's line: the guard used to read
+    the input curve, so 1e80 and 1e70 ended in "zero curvature" and 1e-300
+    in "consecutive points must be distinct"."""
+    monkeypatch.chdir(tmp_path)
+    dispatch(["generate", "circle", "--n", "24", "--out", "c.csv"])
+    capsys.readouterr()
+    assert dispatch(["flow", "--in", "c.csv", "--mode", "fixed-length", "--L0", L0,
+                     "--out", "t.csv"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: the flow needs a mean edge length between 1e-60 and 1e60\n")
+    assert not Path("t.csv").exists()
+
+
+def test_energy_margin_warning_is_part_of_one_stderr_line(tmp_path, capsys):
+    """[TRIVIAL] energy --k reports the margin's coarse-eps warning in its one
+    stderr line: in the error line when no k-fold point is found, as a
+    "warning: ..." line beside the JSON when one is.  The warning used to
+    reach stderr as Python's two-line UserWarning."""
+    far = curves.circle(2, 1.0, 12).points.copy()
+    far[3] = (1e8, 0.0)
+    fine = curves.sample_figure_eight(2, 256).points
+    fine = np.insert(fine, 5, fine[5] + 1e-9 * (fine[6] - fine[5]), axis=0)
+    for name, pts in (("far", far), ("fine", fine)):
+        serialization.curve_to_json(curves.DiscreteCurve(pts, closed=True),
+                                    tmp_path / f"{name}.json")
+    assert dispatch(["energy", "--in", str(tmp_path / "far.json"), "--k", "2"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: no point of multiplicity >= 2 found at eps=200; eps=200 "
+                          "exceeds half the minimum edge length 0.517638;")
+    assert dispatch(["energy", "--in", str(tmp_path / "fine.json"), "--k", "2"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert json.loads(out)["k"] == 2
+    assert len(err.splitlines()) == 1 and err.startswith("warning: eps=")
+
+
 def test_flow_rejects_open_curve(tmp_path, capsys):
     """[TRIVIAL] an open curve exits 2 with the flow's one-line message, not
     a numpy broadcast error from the remesh."""
@@ -526,8 +569,7 @@ def test_manifest_refuses_nan(tmp_path):
     """[TRIVIAL] a NaN parameter cannot reach a run manifest."""
     out = tmp_path / "c.csv"
     with pytest.raises(ValueError):
-        RunManifest(command="generate", parameters={"radius": float("nan")},
-                    outputs=[str(out)]).write()
+        write_manifest(argparse.Namespace(command="generate", radius=float("nan")), out)
     assert not (tmp_path / "c.csv.manifest.json").exists()
 
 
@@ -646,6 +688,31 @@ _FUZZ_INPUTS = (_JSON_VALUES.map(lambda v: json.dumps(v).encode())
                 .map(lambda t: t[0][:t[1]].encode()))
 
 
+def _check_fuzz_run(argv, data):
+    """Run argv on the input file data: it exits 0 or 2 (the flow also 3,
+    its numerical failure) without a warning, with one line on stderr, or on
+    0 with JSON (the flow: its one summary line) on stdout and at most one
+    line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "in.json").write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = dispatch([a.format(dir=tmp) for a in argv])
+    assert [str(w.message) for w in caught] == []
+    assert code in (EXIT_OK, EXIT_USAGE) or (argv[0] == "flow" and code == EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    assert len(err.getvalue().splitlines()) <= 1
+    if argv[0] == "flow":
+        assert out.getvalue().startswith("converged=") and len(out.getvalue().splitlines()) == 1
+    else:
+        json.loads(out.getvalue())
+
+
 @given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)), data=_FUZZ_INPUTS)
 def test_reader_fuzz_exits_with_one_line_or_valid_output(command, data):
     """[TRIVIAL] energy, a 2-step flow and network energy, fed arbitrary JSON
@@ -653,19 +720,46 @@ def test_reader_fuzz_exits_with_one_line_or_valid_output(command, data):
     exit 0 or 2 (the flow also 3, its numerical failure) without a warning:
     with one line on stderr, or on 0 with JSON (the flow: its one summary
     line) on stdout."""
-    with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "in.json").write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = dispatch([a.format(dir=tmp) for a in _FUZZ_COMMANDS[command]])
-    assert [str(w.message) for w in caught] == []
-    assert code in (EXIT_OK, EXIT_USAGE) or (command == "flow" and code == EXIT_NUMERICAL)
-    if code != EXIT_OK:
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
-    elif command == "flow":
-        assert out.getvalue().startswith("converged=") and len(out.getvalue().splitlines()) == 1
-    else:
-        json.loads(out.getvalue())
+    _check_fuzz_run(_FUZZ_COMMANDS[command], data)
+
+
+# the numeric options of energy and flow: each command line takes the drawn
+# value in place of {v}, as --option=value so that a negative value is read
+# as a value
+_OPTION_INTS = (st.integers(-3, 6) | st.sampled_from([2**31, 2**63, 10**30])).map(str)
+_OPTION_FLOATS = (st.sampled_from([0.0, -0.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, 1e-80,
+                                   1e80, -1e80, 5e-324, 1.7976931348623157e308])
+                  | st.floats(1e-6, 1e3) | st.floats(-1e3, 0.0)).map(repr)
+_FUZZ_OPTIONS = {
+    "energy --k": (["energy", "--in", "{dir}/in.json", "--k={v}"], _OPTION_INTS),
+    "flow --dt": (["flow", "--in", "{dir}/in.json", "--mode", "fixed-length", "--steps", "2",
+                   "--dt={v}", "--out", "{dir}/t.csv"], _OPTION_FLOATS),
+    "flow --lambda": (["flow", "--in", "{dir}/in.json", "--mode", "fixed-lambda", "--steps",
+                       "2", "--lambda={v}", "--out", "{dir}/t.csv"], _OPTION_FLOATS),
+    "flow --L0": (["flow", "--in", "{dir}/in.json", "--mode", "fixed-length", "--steps", "2",
+                   "--L0={v}", "--out", "{dir}/t.csv"], _OPTION_FLOATS),
+}
+
+
+def _far_vertex_document() -> bytes:
+    """The written 12-gon with one vertex moved out to (1e8, 0)."""
+    doc = json.loads(_WRITTEN[0])
+    doc["points"][3] = ["1e8", "0"]
+    return json.dumps(doc).encode()
+
+
+@given(case=st.one_of(*[st.tuples(st.just(option), values)
+                        for option, (_, values) in sorted(_FUZZ_OPTIONS.items())]),
+       document=st.sampled_from(_WRITTEN).map(str.encode) | _FUZZ_INPUTS)
+@example(case=("energy --k", "2"), document=_far_vertex_document())
+@example(case=("flow --dt", "1.7976931348623157e+308"), document=_WRITTEN[0].encode())
+@example(case=("flow --lambda", "1.7976931348623157e+308"), document=_WRITTEN[0].encode())
+def test_option_fuzz_exits_with_one_line_or_valid_output(case, document):
+    """[TRIVIAL] energy --k and a 2-step flow with --dt, --lambda or --L0,
+    fed small and huge, zero and negative numbers and the reader fuzz's
+    inputs, keep the reader fuzz's contract; on exit 0 a run may print one
+    warning line.  The margin's coarse-eps warning, and numpy's overflow
+    warnings at a huge dt or lambda, used to reach stderr."""
+    option, value = case
+    _check_fuzz_run([a.format(dir="{dir}", v=value) for a in _FUZZ_OPTIONS[option][0]],
+                    document)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from elastica import curves, exact_bounds, networks, serialization
@@ -493,6 +493,44 @@ def test_is_embedded_invariant_under_similarity(shape, seed, scale, angle, shift
     assert curves.is_embedded(curve) is want
     assert curves.is_embedded(curve.transformed(rotation=rot,
                                                 translation=np.array(shift))) is want
+
+
+def _zigzag():
+    """An embedded open zigzag between the lines x = 0 and x = 1 whose
+    segments lie about 1e-3 apart."""
+    i = np.arange(20)
+    pts = np.empty((40, 2))
+    pts[0::2] = np.column_stack([np.zeros(20), 0.001 * i])
+    pts[1::2] = np.column_stack([np.ones(20), 0.01 + 0.001 * i])
+    return curves.DiscreteCurve(pts, closed=False)
+
+
+_SCALED_SHAPES = {
+    "zigzag": (_zigzag(), True),
+    "bowtie": (curves.DiscreteCurve(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+                                    closed=True), False),
+    "perturbed-circle": (perturbed_circle(3, 256, 0.05), True),
+    "figure-eight": (curves.sample_figure_eight(2, 256), False),
+}
+
+
+@given(shape=st.sampled_from(sorted(_SCALED_SHAPES)), dim=st.sampled_from([2, 3]),
+       exponent=st.floats(-15.0, 15.0),
+       shift=st.tuples(*[st.floats(-1e6, 1e6)] * 3))
+@example(shape="zigzag", dim=2, exponent=-10.0, shift=(0.0, 0.0, 0.0))
+@example(shape="bowtie", dim=3, exponent=-15.0, shift=(0.0, 0.0, 0.0))
+def test_is_embedded_invariant_at_every_scale_and_position(shape, dim, exponent, shift):
+    """[DERIVED] embeddedness reads the same at scales 1e-15 to 1e15 and
+    translations up to 1e6 times the scale, in the plane and lifted to R^3.
+    Snapping planar points to an absolute grid read the zigzag scaled by
+    1e-10 as crossing; an absolute parallel threshold read the bowtie in R^3
+    scaled by 1e-15 as embedded."""
+    curve, want = _SCALED_SHAPES[shape]
+    scale = 10.0 ** exponent
+    pts = np.pad(curve.points, ((0, 0), (0, dim - 2)))
+    moved = curves.DiscreteCurve(scale * pts + scale * np.array(shift[:dim]),
+                                 closed=curve.closed)
+    assert curves.is_embedded(moved) is want
 
 
 def _multiplicity_loop(curve, point, eps):

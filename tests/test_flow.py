@@ -327,9 +327,23 @@ def test_step_failure_raises_flow_step_error(monkeypatch):
 def test_flow_config_rejects_out_of_domain_values(field, value):
     """[TRIVIAL] NaN, infinite and negative parameters fail at construction;
     the step budget and the monitoring cadence are integers >= 1, not floats
-    or bools."""
-    with pytest.raises(ValueError, match="FlowConfig"):
+    or bools.  The message names the one field refused (max_steps = 0 used
+    to name embed_check_every too)."""
+    with pytest.raises(ValueError, match=f"^FlowConfig {field} must be "):
         flow.FlowConfig(**{field: value})
+
+
+def test_fixed_length_flow_of_a_huge_circle():
+    """[PAPER] a circle of radius R = 1e15 has the fixed-length multiplier
+    1/(2 R^2) and stays a round circle of radius R under the fixed-length
+    flow: a threshold of 1e-14 on its B (about 2 pi / R) used to refuse it."""
+    R = 1e15
+    c = curves.circle(2, R, 64)
+    assert flow.lambda_fixed_length(c) == pytest.approx(1.0 / (2.0 * R * R), rel=1e-12)
+    rep = flow.run(c, "fixed-length", c.length(), flow.FlowConfig(max_steps=30))
+    assert rep.converged
+    assert rep.final_roundness < 1e-12
+    assert rep.limit_radius == pytest.approx(R, rel=1e-6)
 
 
 @pytest.mark.parametrize("mode, value", [
