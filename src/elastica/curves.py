@@ -1,7 +1,7 @@
 """Discrete curves and analytic generators for the explicit elastica zoo.
 
-Provides the polyline carrier (its points are checked, and its edge lengths
-computed, once, when it is built), the wavelike and figure-eight samplers, the
+Provides the polyline carrier (its points are checked, and its coordinate
+rows and edge lengths computed, once, when it is built), the wavelike and figure-eight samplers, the
 half-leaf building block, the tangent tuples that lay out leafed elasticae
 (including the 3d propeller), the planar-closure sign search, and
 multiplicity / embeddedness predicates.
@@ -47,9 +47,10 @@ def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-column dot products of two (dim, n) arrays, summed over the rows
-    in order: a[0]*b[0] + a[1]*b[1] + ...  For a = b this is the order in
-    which `np.linalg.norm(..., axis=1)` sums the squares of an (n, dim) array;
-    `np.einsum` sums three or more terms in another order."""
+    in order: a[0]*b[0] + a[1]*b[1] + ...  For a = b and fewer than 8 rows
+    this is the order in which `np.linalg.norm(..., axis=1)` sums the squares
+    of an (n, dim) array; `np.einsum` sums three or more terms in another
+    order."""
     p = a * b
     s = p[0]
     for i in range(1, len(p)):
@@ -99,13 +100,18 @@ class DiscreteCurve:
 
     Closed curves are interpreted cyclically (no duplicated endpoint).
     Points and edge lengths are stored read-only; curves are safe to share.
-    The edge lengths are computed once, by the constructor's check that
-    consecutive points are distinct and their distances finite.
+    `rows` holds the same coordinates as a read-only C-contiguous (dim, n)
+    array, from which the queries compute: a reduction over the coordinates
+    of narrow (n, dim) points runs n loops of length dim, over rows it runs
+    dim loops of length n.  The edge lengths are computed once, by the
+    constructor's check that consecutive points are distinct and their
+    distances finite.
     """
 
     points: np.ndarray
     closed: bool = False
     vertex_marks: Optional[tuple] = None
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
     _edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,12 +123,14 @@ class DiscreteCurve:
                 and 0 <= m < pts.shape[0] for m in self.vertex_marks):
             raise ValueError(f"vertex_marks must be integers in [0, {pts.shape[0]})")
         closed = _check_closed(self.closed)
-        h = _checked_edge_norms(pts.T, closed)
+        rows = np.array(pts.T, order="C")
+        h = _checked_edge_norms(rows, closed)
         pts = pts.copy()
-        pts.setflags(write=False)
-        h.setflags(write=False)
+        for a in (pts, rows, h):
+            a.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_edge_lengths", h)
 
     @property
@@ -434,7 +442,8 @@ def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
     excursions beyond 2 eps.  Clusters are the discrete shadows of preimage
     points, so sampling density does not inflate the count."""
     _check_cluster_eps(curve, eps)
-    d = np.linalg.norm(curve.points - np.asarray(point, dtype=float), axis=1)
+    diff = curve.rows - np.asarray(point, dtype=float).reshape(-1, 1)
+    d = np.sqrt(_dot_rows(diff, diff))
     inside = d <= eps
     if not inside.any():
         return 0
@@ -462,68 +471,86 @@ _TINY_DIFF = math.sqrt(sys.float_info.min)
 
 
 def _box_counts(curve: DiscreteCurve, centres: np.ndarray, eps: float) -> np.ndarray:
-    """For each centre p, the number of samples whose computed coordinate
-    differences from p are all at most w = 2 eps, or _TINY_DIFF if larger:
-    every sample within eps of p is one, so the count bounds the clusters
-    that `multiplicity(curve, p, eps)` counts.  Where the windows that hold
-    the boxes are wide, the bound is the trivial n."""
-    points, n = curve.points, curve.n_points
-    x = points[:, 0]
-    order = np.argsort(x, kind="stable")
-    c = centres[:, 0]
+    """For each centre p, a column of the (dim, m) rows `centres`, the number
+    of samples whose computed coordinate differences from p are all at most
+    w = 2 eps, or _TINY_DIFF if larger: every sample within eps of p is one,
+    so the count bounds the clusters that `multiplicity(curve, p, eps)`
+    counts.  Where the windows that hold the boxes are wide, the bound is the
+    trivial n."""
+    rows, n = curve.rows, curve.n_points
+    order = np.argsort(rows[0], kind="stable")
+    c = centres[0]
     w = max(2.0 * eps, _TINY_DIFF)
     # each window in x-order holds every sample within eps of its centre:
     # such a sample's x lies within about eps of c, well inside c -/+ w, and
     # rounding c -/+ w keeps it inside, since rounding is monotone
-    xs = x[order]
+    xs = rows[0][order]
     lo = np.searchsorted(xs, c - w, side="left")
     counts = np.searchsorted(xs, c + w, side="right") - lo
-    if counts.sum() > 16 * n:
-        # only an eps far past the one multiplicity warns about gets here:
-        # the boxes then hold many samples of each pass and prune nothing,
-        # and the windows would cost more than a sixteenth of a full scan
-        return np.full(len(centres), n)
-    owner = np.repeat(np.arange(len(centres)), counts)
-    j = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-    in_box = (np.abs(points[j] - centres[owner]) <= w).all(axis=1)
-    return np.bincount(owner[in_box], minlength=len(centres))
+    total = int(counts.sum())
+    if total > 16 * n:
+        # the windows then hold many samples of each pass and prune little;
+        # the cap keeps their index arrays O(n): a sixteenth of a full scan
+        # for the grid's 256 centres, 16 samples a window on average when
+        # every sample is a centre
+        return np.full(centres.shape[1], n)
+    owner = np.repeat(np.arange(centres.shape[1]), counts)
+    j = order[np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    in_box = np.ones(total, dtype=bool)
+    for row, centre_row in zip(rows, centres):
+        in_box &= np.abs(row[j] - centre_row[owner]) <= w
+    return np.bincount(owner[in_box], minlength=centres.shape[1])
+
+
+def _any_k_fold(curve: DiscreteCurve, samples: np.ndarray, bound: np.ndarray,
+                k: int, eps: float) -> bool:
+    """Whether one of the samples (indices, in order) whose `_box_counts`
+    bound reaches k has `multiplicity` >= k, tried up to the first that
+    does."""
+    return any(multiplicity(curve, curve.rows[:, i], eps) >= k
+               for i in samples[bound >= k].tolist())
 
 
 def _has_point_of_multiplicity(curve: DiscreteCurve, k: int, eps: float) -> bool:
-    """Whether the first marked vertex or, without marks, one of every
-    (n // 256)-th sample has `multiplicity` >= k at eps.
+    """Whether the first marked vertex or, without marks, a sample has
+    `multiplicity` >= k at eps.
 
-    Samples are tried in index order, only those whose `_box_counts` bound
-    reaches k, up to the first that passes."""
+    Every (n // 256)-th sample is tried first, in index order, and every
+    other sample, in index order, only if none of those passes; each pass
+    tries only the samples whose `_box_counts` bound reaches k."""
     # check and warn as multiplicity does, even where no sample is tried
     _check_cluster_eps(curve, eps)
-    pts = curve.points
+    rows, n = curve.rows, curve.n_points
     if curve.vertex_marks:
-        return multiplicity(curve, pts[curve.vertex_marks[0]], eps) >= k
-    candidates = pts[::max(1, curve.n_points // 256)]
-    bound = _box_counts(curve, candidates, eps)
-    return any(multiplicity(curve, p, eps) >= k for p in candidates[bound >= k])
+        return multiplicity(curve, rows[:, curve.vertex_marks[0]], eps) >= k
+    # the grid first: its boxes cost about a third of every sample's to count
+    stride = max(1, n // 256)
+    grid = np.arange(0, n, stride)
+    if _any_k_fold(curve, grid, _box_counts(curve, rows[:, ::stride], eps), k, eps):
+        return True
+    if stride == 1:
+        return False
+    bound = _box_counts(curve, rows, eps)
+    bound[grid] = 0   # tried by the first pass
+    return _any_k_fold(curve, np.arange(n), bound, k, eps)
 
 
 _GRID = 2.0**40
 
 
-def _snap(points: np.ndarray) -> np.ndarray:
-    """Integer coordinates of points on a grid of 2^-40 times the half-extent
-    of their bounding box, centred in it."""
-    # reduced along contiguous coordinate rows: along axis 0 of the narrow
-    # (n, dim) array the reduction is many times slower
-    rows = points.T.copy()
+def _snap(rows: np.ndarray) -> np.ndarray:
+    """Integer coordinates, as (dim, n) rows, of the points with coordinate
+    rows `rows` on a grid of 2^-40 times the half-extent of their bounding
+    box, centred in it."""
     box_lo, box_hi = rows.min(axis=1), rows.max(axis=1)
     centre = 0.5 * box_lo + 0.5 * box_hi
     half = float((0.5 * box_hi - 0.5 * box_lo).max())
-    return np.rint((points - centre) * (_GRID / half)).astype(np.int64)
+    return np.rint((rows - centre[:, None]) * (_GRID / half)).astype(np.int64)
 
 
 def _orient(a, b, c) -> int:
-    # Python ints: exact, no overflow
-    v = (int(b[0]) - int(a[0])) * (int(c[1]) - int(a[1])) \
-        - (int(b[1]) - int(a[1])) * (int(c[0]) - int(a[0]))
+    # points as pairs of Python ints: exact, no overflow
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (v > 0) - (v < 0)
 
 
@@ -567,33 +594,36 @@ def _segment_distance(p1, p2, q1, q2) -> float:
     return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
 
 
-def _candidate_pairs(lo: np.ndarray, hi: np.ndarray, closed: bool) -> np.ndarray:
+def _candidate_pairs(lo: np.ndarray, hi: np.ndarray, closed: bool):
     """Non-adjacent segment pairs (i, j), i < j, whose boxes [lo, hi] overlap,
-    as a (m, 2) array in lexicographic order.
+    lo and hi given as (dim, n) rows: yields them in batches (i, j) of index
+    arrays, each pair once.
 
     Sorted sweep: with the segments ordered by lowest x, offset k compares
     each segment with its k-th successor, and the sweep stops at the first
-    offset where no successor starts before its segment ends."""
-    n = lo.shape[0]
-    order = np.argsort(lo[:, 0], kind="stable")
-    lo, hi = np.ascontiguousarray(lo[order].T), np.ascontiguousarray(hi[order].T)
+    offset where no successor starts before its segment ends.  Each offset's
+    pairs are one batch, yielded before the next offset is compared, so a
+    caller that stops early skips the rest of the sweep."""
+    n = lo.shape[1]
+    order = np.argsort(lo[0], kind="stable")
+    lo, hi = lo.take(order, axis=1), hi.take(order, axis=1)
     # reach[p]: how many sorted successors of p start before p ends in x
     reach = np.searchsorted(lo[0], hi[0], side="right") - 1 - np.arange(n)
     live = np.flatnonzero(reach > 0)
-    first, second = [live[:0]], [live[:0]]
     for k in range(1, int(reach.max()) + 1):
         live = live[reach[live] >= k]
         ahead = live + k
         hit = np.ones(live.size, dtype=bool)
-        for c in range(1, lo.shape[0]):
-            hit &= (lo[c, ahead] <= hi[c, live]) & (hi[c, ahead] >= lo[c, live])
-        first.append(order[live[hit]])
-        second.append(order[ahead[hit]])
-    a, b = np.concatenate(first), np.concatenate(second)
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    keep = (j - i >= 2) & ~(closed & (i == 0) & (j == n - 1))
-    i, j = i[keep], j[keep]
-    return np.column_stack([i, j])[np.lexsort((j, i))]
+        for lo_c, hi_c in zip(lo[1:], hi[1:]):
+            hit &= (lo_c[ahead] <= hi_c[live]) & (hi_c[ahead] >= lo_c[live])
+        a, b = order[live[hit]], order[ahead[hit]]
+        # segments i and j are adjacent when |i - j| is 1, or n - 1 for the
+        # closing segment of a closed curve and segment 0
+        gap = np.abs(a - b)
+        keep = (gap >= 2) & (gap != n - 1) if closed else gap >= 2
+        if keep.any():
+            a, b = a[keep], b[keep]
+            yield np.minimum(a, b), np.maximum(a, b)
 
 
 def is_embedded(curve: DiscreteCurve) -> bool:
@@ -603,17 +633,28 @@ def is_embedded(curve: DiscreteCurve) -> bool:
     snapped to a grid of 2^-40 times the half-extent of the curve's box;
     higher dimensions test segment-segment distance against 1e-9 x length.
     Neither uses an absolute threshold, so the answer does not depend on
-    the curve's scale or position."""
-    pts = curve.points
-    starts = pts if curve.closed else pts[:-1]
-    ends = np.roll(pts, -1, axis=0) if curve.closed else pts[1:]
+    the curve's scale or position.  Each batch of candidate pairs is tested
+    as the sweep yields it, so a crossing curve stops at its first crossing."""
+    rows = curve.rows
+    # segment i runs from point i to point i + 1, cyclically when closed
+    ends = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1) if curve.closed else rows[:, 1:]
+    starts = rows[:, :ends.shape[1]]
     lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
     if curve.dimension == 2:
-        # segment i runs from snapped point i to point i + 1, cyclically
-        s = _snap(pts)
-        e = np.roll(s, -1, axis=0)
-        return not any(_segments_intersect_2d(s[i], e[i], s[j], e[j])
-                       for i, j in _candidate_pairs(lo, hi, curve.closed))
+        xs = ys = None
+        for i, j in _candidate_pairs(lo, hi, curve.closed):
+            if xs is None:
+                # point i + 1 ends segment i; the copy of point 0 at index n
+                # ends a closed curve's last segment
+                xs, ys = (r + r[:1] for r in _snap(rows).tolist())
+            for a, b in zip(i.tolist(), j.tolist()):
+                if _segments_intersect_2d((xs[a], ys[a]), (xs[a + 1], ys[a + 1]),
+                                          (xs[b], ys[b]), (xs[b + 1], ys[b + 1])):
+                    return False
+        return True
     tol = 1e-9 * curve.length()
-    return not any(_segment_distance(starts[i], ends[i], starts[j], ends[j]) < tol
-                   for i, j in _candidate_pairs(lo - tol, hi + tol, curve.closed))
+    for i, j in _candidate_pairs(lo - tol, hi + tol, curve.closed):
+        for a, b in zip(i.tolist(), j.tolist()):
+            if _segment_distance(starts[:, a], ends[:, a], starts[:, b], ends[:, b]) < tol:
+                return False
+    return True

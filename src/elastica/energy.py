@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_int, _has_point_of_multiplicity
+from .curves import DiscreteCurve, _check_int, _dot_rows, _has_point_of_multiplicity
 from .elliptic import constants
 
 __all__ = [
@@ -57,7 +57,7 @@ def curvature_vectors(curve: DiscreteCurve):
     their two end nodes) and weights are the half-sums of adjacent edge
     lengths.
     """
-    kappa, weights = _curvature_rows(curve.points.T, curve.edge_lengths(), curve.closed)
+    kappa, weights = _curvature_rows(curve.rows, curve.edge_lengths(), curve.closed)
     return kappa.T.copy(), weights
 
 
@@ -79,8 +79,8 @@ def normalized_bending(curve: DiscreteCurve) -> float:
 
 def total_curvature(curve: DiscreteCurve) -> float:
     """Integral of |kappa|."""
-    kappa, w = curvature_vectors(curve)
-    return float(np.sum(np.linalg.norm(kappa, axis=1) * w))
+    kappa, w = _curvature_rows(curve.rows, curve.edge_lengths(), curve.closed)
+    return float(np.sum(np.sqrt(_dot_rows(kappa, kappa)) * w))
 
 
 @dataclass(frozen=True)

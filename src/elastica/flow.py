@@ -23,9 +23,10 @@ pass (one evaluation of the curvature kernel that `energy.curvature_vectors`
 wraps), which the energy test, the next step and the monitoring read, and its
 edge lengths are the ones `DiscreteCurve` computed when it checked the points.
 
-A step computes on coordinate rows: the points, kappa, lap_n kappa and the
-velocity are C-contiguous (dim, n) arrays, so that every numpy operation runs
-one long loop per coordinate instead of n loops of length dim, and per-node
+A step computes on coordinate rows: the points (the curve's own read-only
+`rows`, not a copy), kappa, lap_n kappa and the velocity are C-contiguous
+(dim, n) arrays, so that every numpy operation runs one long loop per
+coordinate instead of n loops of length dim, and per-node
 dot products and norms are row sums taken in coordinate order.  The implicit
 step's output is checked as raw rows (finite, consecutive points distinct),
 and only the remeshed candidate of a trial becomes a `DiscreteCurve`.  In the
@@ -143,7 +144,7 @@ class _Geometry:
     """Everything the flow reads off one curve, from one curvature pass.
     Node vectors are C-contiguous (dim, n) coordinate rows."""
 
-    X: np.ndarray       # the points
+    X: np.ndarray       # the points: the curve's read-only rows
     kappa: np.ndarray
     w: np.ndarray       # half-edge node weights
     k2: np.ndarray      # |kappa|^2 per node
@@ -184,7 +185,7 @@ def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
 
 
 def _geometry(curve: DiscreteCurve) -> _Geometry:
-    X = curve.points.T.copy()
+    X = curve.rows
     kappa, w = _curvature_rows(X, curve.edge_lengths(), True)
     p = _cyclic_pad(X, 1)
     chords = p[:, 2:] - p[:, :-2]
@@ -285,7 +286,7 @@ def _uniform_arclength(rows: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 
 def _resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
     """Redistribute nodes to uniform arclength by periodic cubic interpolation."""
-    rows = _uniform_arclength(curve.points.T, curve.edge_lengths(), n)
+    rows = _uniform_arclength(curve.rows, curve.edge_lengths(), n)
     return DiscreteCurve(rows.T, closed=True)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from elastica import curves, exact_bounds, networks, serialization
+from elastica import curves, exact_bounds, flow, networks, serialization
 from elastica.elliptic import complete_E, complete_K, constants, incomplete_E
 from elastica.energy import li_yau_margin, normalized_bending
 from elastica.random_shapes import perturbed_circle, random_drop, random_piecewise_cycle
@@ -327,6 +327,22 @@ def test_is_embedded_3d_fallback():
     assert not curves.is_embedded(curves.propeller_curve(n_samples_per_leaf=128))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_is_embedded_tests_every_batch_of_the_sweep(dim):
+    """[TRIVIAL] the last segment crosses the first two, and those pairs
+    come in late batches of the sweep, after the zigzag between them has
+    yielded candidate pairs that do not cross; without its last point the
+    curve is embedded."""
+    zigzag = [(1.0 + i % 2, 0.1 + 0.001 * i + 0.01 * (i % 2)) for i in range(40)]
+    pts = np.array([(0.0, 0.0), (10.0, 0.0)] + zigzag + [(5.0, 0.5), (5.0, -1.0)])
+    curve = curves.DiscreteCurve(np.pad(pts, ((0, 0), (0, dim - 2))), closed=False)
+    lo, hi = _boxes(curve)
+    batches = list(curves._candidate_pairs(lo.T, hi.T, curve.closed))
+    assert len(batches[0][0]) > 0 and 0 not in batches[0][0]
+    assert not curves.is_embedded(curve)
+    assert curves.is_embedded(curves.DiscreteCurve(curve.points[:-1], closed=False))
+
+
 def test_transformed_preserves_shape():
     """[TRIVIAL] rigid motions keep lengths."""
     c = curves.circle(2, 1.0, 128)
@@ -465,15 +481,141 @@ def _sweep_test_curves():
     return out
 
 
+def _sorted_pairs(batches):
+    """The union of the sweep's batches (i, j) as a (m, 2) array in
+    lexicographic order."""
+    batches = list(batches)
+    i = np.concatenate([np.empty(0, dtype=np.intp)] + [i for i, _ in batches])
+    j = np.concatenate([np.empty(0, dtype=np.intp)] + [j for _, j in batches])
+    return np.column_stack([i, j])[np.lexsort((j, i))]
+
+
 @pytest.mark.parametrize("curve", _sweep_test_curves())
 def test_candidate_pairs_match_brute_force(curve):
-    """[DERIVED] the sorted sweep yields exactly the O(n^2) enumeration's
-    non-adjacent box-overlap pairs, in the same order, padded or not."""
+    """[DERIVED] the sorted union of the sweep's batches is exactly the
+    O(n^2) enumeration's non-adjacent box-overlap pairs, each pair once,
+    padded or not."""
     lo, hi = _boxes(curve)
     for pad in (0.0, 0.05):
-        got = curves._candidate_pairs(lo - pad, hi + pad, curve.closed)
+        got = _sorted_pairs(curves._candidate_pairs((lo - pad).T, (hi + pad).T, curve.closed))
         assert got.tolist() == [list(p) for p in
                                 _brute_force_pairs(lo - pad, hi + pad, curve.closed)]
+
+
+# The queries on (n, dim) points that the coordinate-row queries replaced,
+# kept as oracles: the same arithmetic, reduced along the points' short axis.
+
+def _multiplicity_points(curve, point, eps):
+    d = np.linalg.norm(curve.points - np.asarray(point, dtype=float), axis=1)
+    inside = d <= eps
+    if not inside.any():
+        return 0
+    label = np.where(inside, 1, np.where(d > 2.0 * eps, -1, 0))
+    marked = label[label != 0]
+    count = int(np.count_nonzero((marked == 1)
+                                 & (np.concatenate(([-1], marked[:-1])) == -1)))
+    if curve.closed and count > 1:
+        first = int(np.argmax(inside))
+        last = len(d) - 1 - int(np.argmax(inside[::-1]))
+        seam = np.concatenate([d[last + 1:], d[:first]])
+        if not (seam > 2.0 * eps).any():
+            count -= 1
+    return count
+
+
+def _box_counts_points(curve, centres, eps):
+    """`_box_counts` with (m, dim) centres."""
+    points, n = curve.points, curve.n_points
+    x = points[:, 0]
+    order = np.argsort(x, kind="stable")
+    c = centres[:, 0]
+    w = max(2.0 * eps, curves._TINY_DIFF)
+    xs = x[order]
+    lo = np.searchsorted(xs, c - w, side="left")
+    counts = np.searchsorted(xs, c + w, side="right") - lo
+    if counts.sum() > 16 * n:
+        return np.full(len(centres), n)
+    owner = np.repeat(np.arange(len(centres)), counts)
+    j = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    in_box = (np.abs(points[j] - centres[owner]) <= w).all(axis=1)
+    return np.bincount(owner[in_box], minlength=len(centres))
+
+
+def _overlapping_pairs(lo, hi, closed):
+    """Non-adjacent pairs i < j of (n, dim) boxes that overlap, by an O(n^2)
+    comparison of every pair."""
+    n = lo.shape[0]
+    overlap = ((lo[None, :] <= hi[:, None]) & (hi[None, :] >= lo[:, None])).all(axis=2)
+    i, j = np.nonzero(np.triu(overlap, 2))
+    keep = ~(closed & (i == 0) & (j == n - 1))
+    return zip(i[keep].tolist(), j[keep].tolist())
+
+
+def _is_embedded_points(curve):
+    pts = curve.points
+    starts = pts if curve.closed else pts[:-1]
+    ends = np.roll(pts, -1, axis=0) if curve.closed else pts[1:]
+    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    if curve.dimension == 2:
+        box_lo, box_hi = pts.min(axis=0), pts.max(axis=0)
+        centre = 0.5 * box_lo + 0.5 * box_hi
+        half = float((0.5 * box_hi - 0.5 * box_lo).max())
+        s = np.rint((pts - centre) * (curves._GRID / half)).astype(np.int64)
+        e = np.roll(s, -1, axis=0)
+        return not any(curves._segments_intersect_2d(s[i].tolist(), e[i].tolist(),
+                                                     s[j].tolist(), e[j].tolist())
+                       for i, j in _overlapping_pairs(lo, hi, curve.closed))
+    tol = 1e-9 * curve.length()
+    return not any(curves._segment_distance(starts[i], ends[i], starts[j], ends[j]) < tol
+                   for i, j in _overlapping_pairs(lo - tol, hi + tol, curve.closed))
+
+
+def _rotation(dim, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    return q
+
+
+_DIFFERENTIAL_SHAPES = ["random-walk", "figure-eight", "k-turn", "perturbed-circle"]
+
+
+def _differential_curve(shape, seed, dim, closed, scale):
+    """A curve of the given shape, rotated by a random rotation and scaled:
+    a random walk (open or closed, in R^dim), a figure-eight of 2 or 4
+    half-periods, a 2-, 3- or 4-turn circle in R^dim, or a perturbed
+    circle."""
+    rng = np.random.default_rng(seed)
+    if shape == "random-walk":
+        pts = np.cumsum(rng.normal(size=(int(rng.integers(3, 200)), dim)), axis=0)
+        return curves.DiscreteCurve(scale * pts, closed=closed)
+    if shape == "figure-eight":
+        curve = curves.sample_figure_eight(int(rng.choice([2, 4])), 512)
+    elif shape == "k-turn":
+        k = int(rng.integers(2, 5))
+        curve = curves.circle(dim, 1.0, 60 * k, turns=k)
+    else:
+        curve = perturbed_circle(seed, 256, 0.05)
+    return curve.transformed(rotation=scale * _rotation(curve.dimension, seed))
+
+
+@pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
+@given(shape=st.sampled_from(_DIFFERENTIAL_SHAPES), seed=st.integers(0, 2**32 - 1),
+       dim=st.sampled_from([2, 3]), closed=st.booleans(),
+       scale=st.sampled_from([1e-9, 1.0, 1e9]),
+       rel_eps=st.sampled_from([1e-6, 1e-3, 1e-2, 5e-2]))
+def test_row_queries_match_the_point_queries(shape, seed, dim, closed, scale, rel_eps):
+    """[DERIVED] multiplicity at every 7th sample, the box counts of every
+    sample and of every (n // 256)-th, and is_embedded, computed on the
+    curve's coordinate rows, equal the same queries on its (n, dim) points,
+    on random walks in 2D and 3D, open and closed, rotated and scaled
+    figure-eights, k-turn circles in 2D and 3D and perturbed circles."""
+    curve = _differential_curve(shape, seed, dim, closed, scale)
+    eps = rel_eps * curve.length()
+    for p in curve.points[::7]:
+        assert curves.multiplicity(curve, p, eps) == _multiplicity_points(curve, p, eps)
+    for stride in (1, max(1, curve.n_points // 256)):
+        got = curves._box_counts(curve, curve.rows[:, ::stride], eps)
+        assert got.tolist() == _box_counts_points(curve, curve.points[::stride], eps).tolist()
+    assert curves.is_embedded(curve) is _is_embedded_points(curve)
 
 
 @given(shape=st.sampled_from(["perturbed-circle", "figure-eight"]),
@@ -589,6 +731,45 @@ def test_edge_lengths_are_cached_read_only(closed):
               replace(c, points=3.0 * c.points)):
         assert d.edge_lengths().tobytes() == np.linalg.norm(d.edge_vectors(), axis=1).tobytes()
         assert d.edge_lengths().tobytes() != h.tobytes()
+
+
+def _curves_with_their_sources(tmp_path):
+    """(curve, the caller's array it was built from or None) for every way a
+    curve is built: from a list, an (n, dim) array, a transposed view,
+    `transformed`, both readers, and as flow states."""
+    pts = perturbed_circle(3, 64, 0.05).points.copy()
+    rows = np.ascontiguousarray(pts.T)
+    built = [(curves.DiscreteCurve(pts.tolist(), closed=True), None),
+             (curves.DiscreteCurve(pts, closed=True), pts),
+             (curves.DiscreteCurve(rows.T, closed=True), rows),
+             (curves.DiscreteCurve(pts[::2], closed=False), pts)]
+    base = built[1][0]
+    built.append((base.transformed(rotation=np.array([[0.6, -0.8], [0.8, 0.6]]),
+                                   translation=np.array([1.0, 2.0])), None))
+    serialization.curve_to_csv(base, tmp_path / "c.csv")
+    serialization.curve_to_json(base, tmp_path / "c.json")
+    built += [(serialization.curve_from_csv(tmp_path / "c.csv"), None),
+              (serialization.curve_from_json(tmp_path / "c.json"), None)]
+    state = flow.FlowState(base, lam=1.0)
+    config = flow.FlowConfig(max_steps=2)
+    built += [(state.curve, pts), (flow.step(state, config).curve, None),
+              (flow.run(base, "fixed-length", 6.0, config).final_state.curve, None)]
+    return built
+
+
+def test_rows_are_a_private_read_only_copy_of_the_points(tmp_path):
+    """[TRIVIAL] however a curve is built, its coordinate rows are
+    C-contiguous and read-only, equal points.T to the bit, and share no
+    memory with the caller's array or with points."""
+    for curve, source in _curves_with_their_sources(tmp_path):
+        rows = curve.rows
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert rows.shape == curve.points.T.shape
+        assert rows.tobytes() == curve.points.T.tobytes()
+        assert not np.shares_memory(rows, curve.points)
+        if source is not None:
+            assert not np.shares_memory(rows, source)
+            assert not np.shares_memory(curve.points, source)
 
 
 @given(dim=st.integers(2, 4), closed=st.booleans(), n=st.integers(3, 40),

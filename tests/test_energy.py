@@ -209,9 +209,15 @@ def _best_multiple_point_loop(curve, eps):
 
 
 def _full_scan_decision(curve, k, eps):
-    """The oracle: whether the full scan's point has multiplicity >= k."""
+    """The oracle: whether the full scan's point has multiplicity >= k or,
+    if it has not, for an unmarked curve with samples off the grid, whether
+    one of all its samples, tried in index order, has."""
     point = _best_multiple_point_loop(curve, eps)
-    return point is not None and curves.multiplicity(curve, point, eps) >= k
+    if point is not None and curves.multiplicity(curve, point, eps) >= k:
+        return True
+    if curve.vertex_marks or curve.n_points < 512:
+        return False
+    return any(curves.multiplicity(curve, p, eps) >= k for p in curve.points)
 
 
 def _moved_eight(halves, scale, seed):
@@ -285,22 +291,53 @@ def test_pruned_scan_finds_the_full_scans_point(name, rel_eps):
         assert _margin_or_error(curve, k, eps) == _full_scan_margin_or_error(curve, k, eps)
 
 
-@pytest.mark.parametrize("shift, found", [(700, False), (712, True)])
-def test_margin_finds_a_double_point_only_on_the_candidate_grid(shift, found):
+@pytest.mark.parametrize("shift", [700, 712])
+def test_margin_finds_a_double_point_on_or_off_the_candidate_grid(shift):
     """[DERIVED] shifted by 700 samples, the 2048-point figure-eight has its
     double point at samples 700 and 1724, off the grid of every 8th sample,
-    so at the default eps both the scan and the full scan find no point of
-    multiplicity 2; shifted by 712 it has it on the grid (though off every
-    16th sample), and both find it."""
+    where the search over all samples finds it; shifted by 712 it has it on
+    the grid (though off every 16th sample).  Both give the margin of the
+    unshifted curve, and the full scan's."""
     g = curves.sample_figure_eight(2, 2048)
     curve = curves.DiscreteCurve(np.roll(g.points, shift, axis=0), closed=True)
     eps = 1e-6 * curve.length()
     assert curves.multiplicity(curve, curve.points[shift], eps) == 2
     margin = _margin_or_error(curve, 2, eps)
     assert margin == _full_scan_margin_or_error(curve, 2, eps)
-    assert isinstance(margin, float) == found
-    if not found:
-        assert margin.startswith("no point of multiplicity >= 2 found")
+    assert margin == pytest.approx(energy.li_yau_margin(g, 2, eps), rel=1e-9)
+
+
+_RELABELLED_CURVES = {
+    "eight-2": lambda: curves.sample_figure_eight(2, 2048),
+    "eight-4": lambda: _moved_eight(4, 1.0, 4),
+    "2-turn": lambda: curves.circle(2, 1.0, 1200, turns=2),
+    "3-turn-3d": lambda: curves.circle(3, 1.0, 1200, turns=3),
+    "propeller": lambda: curves.DiscreteCurve(curves.propeller_curve(512).points,
+                                              closed=True),
+}
+_RELABELLED_CACHE = {}
+
+
+@pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
+@given(name=st.sampled_from(sorted(_RELABELLED_CURVES)), shift=st.integers(0, 4095),
+       k=st.sampled_from([2, 3, 4]), rel_eps=st.sampled_from([1e-6, 1e-3, 1e-2]))
+def test_margin_is_invariant_under_cyclic_relabelling(name, shift, k, rel_eps):
+    """[DERIVED] the margin of an unmarked closed curve, or its error, does
+    not depend on which sample is numbered 0: rolling the samples gives the
+    same error, or the same margin up to the round-off of summing B in
+    another order."""
+    if name not in _RELABELLED_CACHE:
+        _RELABELLED_CACHE[name] = _RELABELLED_CURVES[name]()
+    curve = _RELABELLED_CACHE[name]
+    rolled = curves.DiscreteCurve(np.roll(curve.points, shift % curve.n_points, axis=0),
+                                  closed=True)
+    eps = rel_eps * curve.length()
+    want, got = _margin_or_error(curve, k, eps), _margin_or_error(rolled, k, eps)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        quota = constants().varpi_star * k * k
+        assert got == pytest.approx(want, rel=0, abs=1e-12 * quota)
 
 
 @pytest.mark.filterwarnings("ignore:eps=.*minimum edge length")
@@ -363,7 +400,8 @@ def test_pruned_scan_calls_multiplicity_rarely(name, rel_eps, monkeypatch):
     k-fold point evaluates multiplicity at most twice wherever it finds one,
     at every eps, and never more often than the full scan with its margin's
     evaluation, which makes 257 or 301.  It finds none only on the 4-turn
-    circle at eps = 0.05 L, larger than the radius, where both scan fully."""
+    circle at eps = 0.05 L, larger than the radius, where both scan fully:
+    every sample, after the grid."""
     curve, k = _scan_curve(name)
     eps = rel_eps * curve.length()
     calls = _counting_multiplicity(monkeypatch)
@@ -377,16 +415,17 @@ def test_pruned_scan_calls_multiplicity_rarely(name, rel_eps, monkeypatch):
 
 
 def test_pruned_scan_warns_on_coarse_eps_without_evaluating(monkeypatch):
-    """[TRIVIAL] the coarse-eps warning comes even when no candidate's bound
+    """[TRIVIAL] the coarse-eps warning comes even when no sample's bound
     calls for a multiplicity evaluation: here the one short edge, between
-    samples 1 and 2 of a 768-gon, lies between candidates 0 and 3."""
+    samples 1 and 2 of a 768-gon, puts two samples in each of their boxes,
+    fewer than k = 3."""
     pts = curves.circle(2, 1.0, 768).points.copy()
     pts[2] = pts[1] + 1e-9 * (pts[2] - pts[1])
     curve = curves.DiscreteCurve(pts, closed=True)
     calls = _counting_multiplicity(monkeypatch)
     with pytest.warns(UserWarning, match="exceeds half the minimum edge length"):
-        with pytest.raises(ValueError, match="no point of multiplicity >= 2"):
-            energy.li_yau_margin(curve, 2)
+        with pytest.raises(ValueError, match="no point of multiplicity >= 3"):
+            energy.li_yau_margin(curve, 3)
     assert calls == []
 
 
