@@ -5,13 +5,16 @@ a JSON mirror carrying generator metadata.  Networks: a single JSON document
 with three curve blocks plus junction metadata.  All numbers are written with
 17 significant digits and '.' as the decimal separator so identical inputs
 produce byte-identical files.  The JSON writer lays a document out itself, in
-the bytes of `json.dumps(indent=2, sort_keys=True)`.
+the bytes of `json.dumps(indent=2, sort_keys=True)`.  The readers decode files
+as UTF-8, and the JSON readers parse with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -51,10 +54,25 @@ def curve_to_csv(curve: DiscreteCurve, path) -> None:
     Path(path).write_text(text)
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8 whatever the locale; a file that is not
+    UTF-8 raises one line naming the file, the line and the byte offset.
+    `read_text` decodes the whole file in one call, so the decoder's offset
+    is the file's."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]
+        # lines end as `read_text` ends them: at LF, CR LF or a lone CR
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}: line {line}: expected UTF-8 text, got byte "
+                         f"0x{exc.object[exc.start]:02x} at byte offset {exc.start}") from None
+
+
 def curve_from_csv(path) -> DiscreteCurve:
     """A curve from a `dim,closed` header (dim an integer >= 2, closed 0 or 1)
     and rows of dim numbers; a bad line raises naming the file and the line."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     lines = text.strip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty curve file")
@@ -146,9 +164,26 @@ def _object(doc, where: str) -> dict:
     return doc
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and resume it on exit only if it
+    was running on entry.  A parsed document holds one list per point row,
+    all alive at once; collections during the parse find no cycle to free
+    (refcounting frees every row) and only promote the rows towards the
+    full collection.  The readers release the document inside the pause, so
+    the allocation count it raised is back down when the collector resumes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_json(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     return _object(doc, str(path))
@@ -211,7 +246,13 @@ def curve_to_json(curve: DiscreteCurve, path, generator: Optional[str] = None,
 
 
 def curve_from_json(path) -> DiscreteCurve:
-    doc = _read_json(path)
+    # the parsed document lives only in the helper's frame, so it is freed
+    # before the collector resumes
+    with _collector_paused():
+        return _curve_from_doc(_read_json(path), path)
+
+
+def _curve_from_doc(doc: dict, path) -> DiscreteCurve:
     if doc.get("kind") != "curve":
         raise ValueError(f"{path}: not a curve document")
     return _curve_from_block(doc, str(path))
@@ -237,8 +278,12 @@ def network_to_json(net: ThetaNetwork, path, generator: Optional[str] = None,
 
 
 def network_from_json(path) -> ThetaNetwork:
+    with _collector_paused():
+        return _network_from_doc(_read_json(path), path)
+
+
+def _network_from_doc(doc: dict, path) -> ThetaNetwork:
     where = str(path)
-    doc = _read_json(path)
     if doc.get("kind") != "theta-network":
         raise ValueError(f"{path}: not a theta-network document")
     blocks = _field(doc, "curves", where)

@@ -242,14 +242,15 @@ def test_src_imports_no_scipy_optimize_integrate_or_interpolate():
     ("2,1\n0,0\n1,0,0\n0,1\n", 3),         # ragged row
     ("2,1\n0,0\n1,0\n0,y\n", 4),
     ("2,1\n0,0\n1\n0,1\n", 3),
+    (b"2,1\n0,0\n1,\xff\n0,1\n", 3),   # not UTF-8
 ], ids=["closed-5", "closed-x", "float-dim", "dim-1", "no-closed", "after-blank-lines",
-        "ragged-row", "non-numeric-row", "short-row"])
+        "ragged-row", "non-numeric-row", "short-row", "not-utf-8"])
 def test_malformed_csv_is_rejected(text, line, tmp_path, capsys):
     """[TRIVIAL] a CSV header other than `dim,closed` with closed 0 or 1, or
     a row that is not dim numbers, exits 2 with one stderr line naming the
     file and the line, and prints nothing on stdout."""
     src = tmp_path / "bad.csv"
-    src.write_text(text)
+    src.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert dispatch(["energy", "--in", str(src)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
@@ -306,12 +307,21 @@ _GOOD_CURVE = {"kind": "curve", "dim": 2, "closed": True,
     ("energy", {k: v for k, v in _GOOD_CURVE.items() if k != "dim"}, "'dim'"),
     ("network", {"kind": "theta-network", "curves": [{**_GOOD_CURVE, "dim": 3}] * 3},
      "curves[0]: key 'dim'"),
+    pytest.param("energy", b'{"kind": "curve",\n "x": "\xe9"}',
+                 "line 2: expected UTF-8 text, got byte 0xe9 at byte offset 25",
+                 id="energy-not-utf-8"),
+    pytest.param("network", b'{"kind": "\xff"}',
+                 "line 1: expected UTF-8 text, got byte 0xff at byte offset 10",
+                 id="network-not-utf-8"),
+    pytest.param("energy", b'{"kind": "curve",\r\n\r"x": "' + b"a" * 100_000 + b'\xff"}',
+                 "line 3: expected UTF-8 text, got byte 0xff at byte offset 100026",
+                 id="energy-not-utf-8-past-100-kb"),
 ])
 def test_malformed_json_documents_are_rejected(command, doc, key, tmp_path, capsys):
     """[TRIVIAL] a JSON document of the wrong shape exits 2 with one stderr
     line that names the offending key, and prints no JSON."""
     src = tmp_path / "doc.json"
-    src.write_text(json.dumps(doc))
+    src.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     argv = ["energy", "--in", str(src)] if command == "energy" else \
         ["network", "energy", "--in", str(src)]
     assert dispatch(argv) == EXIT_USAGE

@@ -3,6 +3,7 @@
 Tags: [TRIVIAL] direct checks of invented plumbing.
 """
 
+import gc
 import json
 import math
 import tempfile
@@ -70,6 +71,61 @@ def test_deterministic_bytes(tmp_path):
     serialization.curve_to_csv(g, p1)
     serialization.curve_to_csv(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's state and callbacks as found."""
+    enabled, callbacks = gc.isenabled(), list(gc.callbacks)
+    yield
+    gc.callbacks[:] = callbacks
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_json_readers_run_no_collection(tmp_path, collector):
+    """[TRIVIAL] reading a 2050-point curve and a 3 x 257-point network,
+    whose parsed documents hold one list per row, starts no collection of
+    the cyclic collector, and reads back the written curves bit for bit."""
+    curve = curves.sample_figure_eight(2, 2048)
+    net = networks.build_wavelike_network(0.5, 256)
+    serialization.curve_to_json(curve, tmp_path / "c.json")
+    serialization.network_to_json(net, tmp_path / "n.json")
+    starts = []
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+    back = serialization.curve_from_json(tmp_path / "c.json")
+    net_back = serialization.network_from_json(tmp_path / "n.json")
+    gc.callbacks.pop()
+    assert starts == []
+    for got, want in zip((back, *net_back.curves), (curve, *net.curves)):
+        assert got.points.tobytes() == want.points.tobytes()
+        assert (got.closed, got.vertex_marks) == (want.closed, want.vertex_marks)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_json_readers_leave_the_collector_as_they_found_it(enabled, tmp_path, collector):
+    """[TRIVIAL] after a read that succeeds, and after one that raises on a
+    malformed document, the collector is on exactly when the caller had it
+    on."""
+    good_curve, good_net = tmp_path / "c.json", tmp_path / "n.json"
+    serialization.curve_to_json(curves.circle(2, 1.0, 16), good_curve)
+    serialization.network_to_json(networks.build_wavelike_network(0.5, 64), good_net)
+    bad = {"syntax.json": b'{"kind": "curve",', "utf8.json": b'{"kind": "\xff"}',
+           "points.json": b'{"kind": "curve", "dim": 2, "closed": true, "points": [[0, "x"]]}',
+           "network.json": b'{"kind": "theta-network", "curves": 5}'}
+    for name, data in bad.items():
+        (tmp_path / name).write_bytes(data)
+    (gc.enable if enabled else gc.disable)()
+    serialization.curve_from_json(good_curve)
+    assert gc.isenabled() == enabled
+    serialization.network_from_json(good_net)
+    assert gc.isenabled() == enabled
+    for name in bad:
+        for reader in (serialization.curve_from_json, serialization.network_from_json):
+            with pytest.raises(ValueError):
+                reader(tmp_path / name)
+            assert gc.isenabled() == enabled
 
 
 def test_reader_rejects_malformed(tmp_path):
