@@ -6,6 +6,11 @@ incomplete integrals are Carlson's symmetric forms `elliprf`/`elliprd` on the
 principal amplitude, and am/sn/cn come from `ellipj`.  The incomplete and
 Jacobi functions accept arrays; a scalar in gives a float out.
 
+Importing this module loads no scipy module.  The five names above start as
+stubs, and the first call of any of them imports `scipy.special` and rebinds
+all five to its ufuncs (`_lazy.on_first_use`); from then on each function
+calls the ufunc directly, as a top-level import would.
+
 scipy's own incomplete F/E routines are not used: in scipy 1.17.1 they return
 wrong values (errors up to 0.15) at some exact `ellipj` amplitudes on the
 closed figure-eight grids, where Carlson's forms agree with mpmath to 1e-12.
@@ -19,7 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ellipe, ellipj, ellipk, elliprd, elliprf
+
+from ._lazy import on_first_use
+
+ellipe, ellipj, ellipk, elliprd, elliprf = on_first_use(
+    globals(), "scipy.special", "ellipe", "ellipj", "ellipk", "elliprd", "elliprf")
 
 __all__ = [
     "EllipticConstants",

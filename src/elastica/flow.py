@@ -51,9 +51,13 @@ from typing import Optional
 
 import numpy as np
 
+from ._lazy import on_first_use
 from .curves import (DiscreteCurve, _check_eps, _check_int, _checked_edge_norms, _dot_rows,
                      _edge_norms, is_embedded)
 from .energy import _check_lambda, _curvature_rows
+
+# LAPACK's tridiagonal solve, imported on the first remesh
+(dgtsv,) = on_first_use(globals(), "scipy.linalg.lapack", "dgtsv")
 
 __all__ = [
     "FlowConfig",
@@ -232,8 +236,6 @@ def _uniform_arclength(rows: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     routine `solve_banded((1, 1), ...)` calls), its Sherman-Morrison column
     riding as one more right-hand side of the same solve, and the cubics are
     evaluated in `PPoly`'s order."""
-    from scipy.linalg.lapack import dgtsv   # here, to keep it out of the CLI's import
-
     dim, m = rows.shape   # m intervals, slopes s_0..s_{m-1}, s_m = s_0
     x = np.empty(m + 1)
     x[0] = 0.0

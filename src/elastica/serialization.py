@@ -184,6 +184,8 @@ def _collector_paused():
 def _read_json(path) -> dict:
     try:
         doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     return _object(doc, str(path))

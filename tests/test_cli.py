@@ -203,33 +203,92 @@ def test_domain_error_maps_to_usage_exit(tmp_path, capsys):
                      "--out", str(tmp_path / "n.json")]) == EXIT_USAGE
 
 
-def test_cli_import_leaves_integrate_and_optimize_unloaded(subprocess_env):
+def test_cli_import_leaves_integrate_and_optimize_unloaded(subprocess_env, tmp_path, capsys):
     """[TRIVIAL] `import elastica.cli` loads neither scipy.integrate nor
-    scipy.optimize, which dominate cold start."""
+    scipy.optimize, which dominate cold start, nor any other scipy module;
+    a cold `energy` without --k loads none either, and prints the bytes the
+    same command prints in a process that has loaded scipy."""
     code = ("import sys, elastica.cli; print(sorted(m for m in sys.modules "
             "if m in ('scipy.integrate', 'scipy.optimize')))")
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    code = ("import sys, elastica.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+    src = tmp_path / "pc.csv"
+    assert dispatch(["generate", "perturbed-circle", "--seed", "3", "--n", "128",
+                     "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    assert dispatch(["energy", "--in", str(src)]) == EXIT_OK
+    warm = capsys.readouterr().out
+    code = ("import sys; from elastica.cli import dispatch; "
+            f"code = dispatch(['energy', '--in', {str(src)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True)
+    assert res.stderr == "0 []\n"
+    assert res.stdout == warm
+
+
+def _imported_names(node):
+    """The dotted names an import statement node imports, else []."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def _is_under(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
 
 
 def test_src_imports_no_scipy_optimize_integrate_or_interpolate():
     """[TRIVIAL] no module of the package imports scipy.optimize,
     scipy.integrate or scipy.interpolate, at the top or inside a function:
-    they cost cold start, and the oracles that use them live in the tests."""
+    they cost cold start, and the oracles that use them live in the tests.
+    No module imports any scipy module at its top level either: scipy loads
+    on first use (`_lazy.on_first_use`), so importing the package loads
+    numpy only.  Imports inside functions stay allowed."""
     banned = {"scipy.optimize", "scipy.integrate", "scipy.interpolate"}
     found = []
     for path in sorted(Path(elastica.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-            else:
-                continue
+        tree = ast.parse(path.read_text(), str(path))
+        in_functions = {id(inner) for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            names = _imported_names(node)
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if any(name == b or name.startswith(b + ".") for b in banned)]
+                      if any(_is_under(name, b) for b in banned)]
+            if id(node) not in in_functions:
+                found += [f"{path.name}:{node.lineno}: top-level {name}" for name in names
+                          if _is_under(name, "scipy")]
     assert found == []
+
+
+def test_scipy_names_are_the_scipy_objects_after_first_use(subprocess_env):
+    """[TRIVIAL] in a fresh interpreter, one `complete_K` call binds all five
+    elliptic names to the `scipy.special` ufuncs themselves, and one remesh
+    binds the flow's `dgtsv` to LAPACK's: no accessor or import statement
+    stands between the hot scalar path and the ufunc."""
+    code = ("import sys\n"
+            "from elastica import curves, elliptic, flow\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert elliptic.complete_K(0.5) == 1.8540746773013719\n"
+            "import scipy.special\n"
+            "names = ('ellipe', 'ellipj', 'ellipk', 'elliprd', 'elliprf')\n"
+            "print([getattr(elliptic, n) is getattr(scipy.special, n) for n in names])\n"
+            "flow._resample_uniform(curves.circle(2, 1.0, 16), 16)\n"
+            "import scipy.linalg.lapack\n"
+            "print(flow.dgtsv is scipy.linalg.lapack.dgtsv)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[True, True, True, True, True]\nTrue\n"
 
 
 @pytest.mark.parametrize("text, line", [
@@ -388,6 +447,24 @@ def test_deeply_nested_json_is_rejected(command, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error: {src}: JSON nested too deeply"]
+
+
+@pytest.mark.parametrize("command", ["energy", "network energy"])
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "curve",', "line 1: Expecting property name enclosed in double quotes"),
+    ('{"kind": "curve",\n "closed": true,\n "points": [[0, 0] [1, 0]]}',
+     "line 3: Expecting ',' delimiter"),
+    ("", "line 1: Expecting value"),
+], ids=["open-object", "missing-comma", "empty"])
+def test_json_syntax_error_names_the_file(command, text, message, tmp_path, capsys):
+    """[TRIVIAL] a file that is not valid JSON exits 2 with one line naming
+    the file and the line; the decoder's message used to stand alone."""
+    src = tmp_path / "syn.json"
+    src.write_text(text)
+    assert dispatch([*command.split(), "--in", str(src)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {src}: {message}\n"
 
 
 def test_json_curve_points_may_be_numbers_or_numeric_strings(tmp_path, capsys):
