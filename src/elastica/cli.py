@@ -173,6 +173,10 @@ def cmd_network(args) -> int:
         return EXIT_OK
     # sweep
     curves._check_int(args.steps, 1, "steps")
+    if args.steps > 10**6:
+        raise ValueError("steps > 1000000 exceeds the output budget")
+    if args.m_lo >= args.m_hi:
+        raise ValueError("need m_lo < m_hi")
     ms = np.linspace(args.m_lo, args.m_hi, args.steps)
     lines = ["m,formula_energy"]
     for m in ms:

@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 
-def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
-    if closed:
-        return np.concatenate([points[1:], points[:1]]) - points
-    return np.diff(points, axis=0)
-
-
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-column dot products of two (dim, n) arrays, summed over the rows
     in order: a[0]*b[0] + a[1]*b[1] + ...  For a = b and fewer than 8 rows
@@ -61,8 +55,8 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     """Edge lengths of the polygon whose coordinates are the rows of a
     (dim, n) array, closing edge last for closed curves: the bits of
-    `np.linalg.norm(edge_vectors, axis=1)`.  An edge too long for a float
-    comes out as inf, without a numpy warning."""
+    `np.linalg.norm` over the coordinates of each edge vector.  An edge too
+    long for a float comes out as inf, without a numpy warning."""
     if closed:
         ahead = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1)
         behind = rows
@@ -84,6 +78,19 @@ def _checked_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     if h.max() == math.inf:
         raise ValueError("edge length is not finite (coordinates too large)")
     return h
+
+
+def _real_coordinates(points) -> np.ndarray:
+    """`points` as a float array, from floats (with their bits) or integers:
+    complex, bool, string and other arrays are refused by their dtype before
+    any cast, and an object array (mixed or huge Python numbers) by the cast."""
+    pts = np.asarray(points)
+    if pts.dtype.kind not in "fiuO":
+        raise ValueError(f"coordinates must be real numbers, got {pts.dtype} values")
+    try:
+        return pts.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("coordinates must be real numbers that fit a float") from None
 
 
 def _check_closed(closed) -> bool:
@@ -115,7 +122,7 @@ class DiscreteCurve:
     _edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _real_coordinates(self.points)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
             raise ValueError("need at least 3 points in R^n, n >= 2")
         if self.vertex_marks is not None and not all(
@@ -140,9 +147,6 @@ class DiscreteCurve:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def edge_vectors(self) -> np.ndarray:
-        return _edge_vectors(self.points, self.closed)
 
     def edge_lengths(self) -> np.ndarray:
         """Edge norms, read-only, closing edge last for closed curves."""
@@ -442,6 +446,11 @@ def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
     excursions beyond 2 eps.  Clusters are the discrete shadows of preimage
     points, so sampling density does not inflate the count."""
     _check_cluster_eps(curve, eps)
+    return _clusters(curve, point, eps)
+
+
+def _clusters(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
+    """`multiplicity` without its check of eps."""
     diff = curve.rows - np.asarray(point, dtype=float).reshape(-1, 1)
     d = np.sqrt(_dot_rows(diff, diff))
     inside = d <= eps
@@ -506,8 +515,8 @@ def _any_k_fold(curve: DiscreteCurve, samples: np.ndarray, bound: np.ndarray,
                 k: int, eps: float) -> bool:
     """Whether one of the samples (indices, in order) whose `_box_counts`
     bound reaches k has `multiplicity` >= k, tried up to the first that
-    does."""
-    return any(multiplicity(curve, curve.rows[:, i], eps) >= k
+    does.  The caller checks eps."""
+    return any(_clusters(curve, curve.rows[:, i], eps) >= k
                for i in samples[bound >= k].tolist())
 
 
@@ -518,11 +527,11 @@ def _has_point_of_multiplicity(curve: DiscreteCurve, k: int, eps: float) -> bool
     Every (n // 256)-th sample is tried first, in index order, and every
     other sample, in index order, only if none of those passes; each pass
     tries only the samples whose `_box_counts` bound reaches k."""
-    # check and warn as multiplicity does, even where no sample is tried
+    # check and warn as multiplicity does, once, even where no sample is tried
     _check_cluster_eps(curve, eps)
     rows, n = curve.rows, curve.n_points
     if curve.vertex_marks:
-        return multiplicity(curve, rows[:, curve.vertex_marks[0]], eps) >= k
+        return _clusters(curve, rows[:, curve.vertex_marks[0]], eps) >= k
     # the grid first: its boxes cost about a third of every sample's to count
     stride = max(1, n // 256)
     grid = np.arange(0, n, stride)

@@ -15,13 +15,16 @@ scipy's own incomplete F/E routines are not used: in scipy 1.17.1 they return
 wrong values (errors up to 0.15) at some exact `ellipj` amplitudes on the
 closed figure-eight grids, where Carlson's forms agree with mpmath to 1e-12.
 The tests pin two such amplitudes.
+
+The constants bundle is data: `constants()` returns the five floats that
+`solve_m_star` derives from complete K/E, so reading them loads no scipy
+module.  A tier-1 test checks that the derivation still gives these bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,7 +159,8 @@ class EllipticConstants:
 
 
 def solve_m_star() -> EllipticConstants:
-    """Solve K(m) - 2E(m) = 0 on the bracket [0.75, 0.85] and bundle the constants.
+    """Solve K(m) - 2E(m) = 0 on the bracket [0.75, 0.85] and bundle the
+    constants: the derivation of the bundle that `constants()` holds.
 
     Bisection narrows the bracket to width 1e-4, then Newton polishes with
     dK/dm - 2 dE/dm, for at most 200 steps, to a residual below 1e-12.
@@ -188,8 +192,18 @@ def solve_m_star() -> EllipticConstants:
     return EllipticConstants(m_star=m, K_star=K, E_star=E, varpi_star=varpi, phi_star=phi)
 
 
-@lru_cache(maxsize=1)
+# `solve_m_star()` to the bit (numpy 2.4.6, scipy 1.17.1), as repr-exact floats
+_CONSTANTS = EllipticConstants(
+    m_star=0.8261147659849704,
+    K_star=2.321049732530421,
+    E_star=1.1605248662652106,
+    varpi_star=28.10990243533035,
+    phi_star=0.8602743467491462,
+)
+
+
 def constants() -> EllipticConstants:
-    """Cached EllipticConstants bundle (immutable, safe to share)."""
-    return solve_m_star()
+    """The EllipticConstants bundle that `solve_m_star` derives, held as data
+    (immutable, safe to share)."""
+    return _CONSTANTS
 

@@ -132,8 +132,8 @@ def total_curvature_piecewise(curves: Sequence[DiscreteCurve]) -> PiecewiseFench
 
 
 def _check_lambda(lam: float) -> None:
-    # written so that NaN fails too
-    if not (math.isfinite(lam) and lam >= 0):
+    # written so that NaN fails too; a bool is no lambda, as it is no count
+    if isinstance(lam, (bool, np.bool_)) or not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and nonnegative")
 
 

@@ -172,12 +172,21 @@ def test_generate_count_options_exit_0_or_2(option, value, tmp_path, capsys, mon
      "error: steps must be an integer >= 1"),
     (["network", "sweep", "--m-lo", "0.1", "--m-hi", "0.8", "--steps", "-1"],
      "error: steps must be an integer >= 1"),
-], ids=["perturbed-circle-seed", "drop-seed", "sweep-steps-0", "sweep-steps-negative"])
+    (["network", "sweep", "--m-lo", "0.1", "--m-hi", "0.8", "--steps", "1000001"],
+     "error: steps > 1000000 exceeds the output budget"),
+    (["network", "sweep", "--m-lo", "0.9", "--m-hi", "0.1", "--steps", "3"],
+     "error: need m_lo < m_hi"),
+    (["network", "sweep", "--m-lo", "0.5", "--m-hi", "0.5", "--steps", "1"],
+     "error: need m_lo < m_hi"),
+], ids=["perturbed-circle-seed", "drop-seed", "sweep-steps-0", "sweep-steps-negative",
+        "sweep-steps-over-budget", "sweep-descending", "sweep-empty-range"])
 def test_seed_and_sweep_steps_are_checked(argv, message, tmp_path, capsys, monkeypatch):
-    """[TRIVIAL] a negative seed and a sweep of fewer than one step exit 2
-    with one line on stderr and write nothing: --seed -1 used to print
-    numpy's "expected non-negative integer", --steps 0 to write a file with
-    only a header and exit 0."""
+    """[TRIVIAL] a negative seed, a sweep of fewer than one step or of more
+    rows than its budget, and a sweep range that does not ascend exit 2 with
+    one line on stderr and write nothing: --seed -1 used to print numpy's
+    "expected non-negative integer", --steps 0 to write a file with only a
+    header and exit 0, --steps 100000000 to run for minutes, and --m-lo 0.9
+    --m-hi 0.1 to write a descending table."""
     monkeypatch.chdir(tmp_path)
     assert dispatch([*argv, "--out", "o.csv"]) == EXIT_USAGE
     out, err = capsys.readouterr()
@@ -232,6 +241,34 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded(subprocess_env, tmp_p
                          capture_output=True, text=True)
     assert res.stderr == "0 []\n"
     assert res.stdout == warm
+
+
+def test_commands_that_only_read_the_constants_load_no_scipy(subprocess_env, tmp_path):
+    """[TRIVIAL] in a fresh interpreter, `generate circle`, `energy --k 2` on
+    a 2-turn circle, `closure-search` and `constants` read the constants
+    bundle and evaluate no elliptic function, so they load no scipy module;
+    a `flow` run after them loads LAPACK for its remesh, and still not
+    `scipy.special`."""
+    one, two = str(tmp_path / "c1.csv"), str(tmp_path / "c2.csv")
+    commands = [["generate", "circle", "--n", "64", "--out", one],
+                ["generate", "circle", "--turns", "2", "--n", "128", "--out", two],
+                ["energy", "--in", two, "--k", "2"],
+                ["closure-search", "--k", "7"],
+                ["constants"],
+                ["flow", "--in", one, "--mode", "fixed-length", "--steps", "5",
+                 "--out", str(tmp_path / "trace.csv")]]
+    code = ("import sys\n"
+            "from elastica.cli import dispatch\n"
+            f"for argv in {commands!r}:\n"
+            "    code = dispatch(argv)\n"
+            # loading any scipy module loads the package 'scipy' too
+            "    print(argv[0], code, sorted(m for m in sys.modules if m in "
+            "('scipy', 'scipy.special', 'scipy.linalg.lapack')), file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True)
+    assert res.stderr.splitlines() == [
+        "generate 0 []", "generate 0 []", "energy 0 []", "closure-search 0 []",
+        "constants 0 []", "flow 0 ['scipy', 'scipy.linalg.lapack']"]
 
 
 def _imported_names(node):

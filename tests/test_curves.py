@@ -21,6 +21,14 @@ from elastica.energy import li_yau_margin, normalized_bending
 from elastica.random_shapes import perturbed_circle, random_drop, random_piecewise_cycle
 
 
+def _edge_vectors(points, closed):
+    """The edge vectors of a polygon, closing edge last when closed: the
+    vectors whose `np.linalg.norm` is the oracle of the edge lengths."""
+    if closed:
+        return np.concatenate([points[1:], points[:1]]) - points
+    return np.diff(points, axis=0)
+
+
 def test_discrete_curve_validation():
     """[TRIVIAL] constructor rejects degenerate inputs."""
     with pytest.raises(ValueError):
@@ -441,6 +449,25 @@ def test_discrete_curve_rejects_non_finite_coordinates():
             curves.DiscreteCurve(pts, closed=True)
 
 
+@pytest.mark.parametrize("points, message", [
+    (np.array([[0, 0], [1, 0], [0, 1j]]), "real numbers, got complex128 values"),
+    ([[False, False], [True, False], [False, True]], "real numbers, got bool values"),
+    ([["0", "0"], ["1", "0"], ["0", "1"]], "real numbers, got <U1 values"),
+    ([[10 ** 400, 0], [0, 1], [-1, 0]], "real numbers that fit a float"),
+    (np.array([[0, 0], [1, 0], [0, 1j]], dtype=object), "real numbers that fit a float"),
+], ids=["complex", "bool", "str", "huge-int", "object-complex"])
+def test_discrete_curve_refuses_non_real_coordinates(points, message):
+    """[TRIVIAL] coordinates that are not real numbers fail with one
+    ValueError that names them: complex input used to lose its imaginary
+    parts behind numpy's ComplexWarning, bools read as 0/1, and 10**400
+    raised a bare OverflowError.  Integer and float32 input still convert."""
+    with pytest.raises(ValueError, match=f"^coordinates must be {message}$"):
+        curves.DiscreteCurve(points, closed=True)
+    square = [[0, 0], [2, 0], [2, 2], [0, 2]]
+    assert curves.DiscreteCurve(square, closed=True).length() == 8.0
+    assert curves.DiscreteCurve(np.float32(square), closed=True).length() == 8.0
+
+
 @pytest.mark.parametrize("marks", [(16,), (-1,), (10 ** 6,), (1.0,), ("0",), (True,)])
 def test_discrete_curve_rejects_bad_vertex_marks(marks):
     """[TRIVIAL] vertex marks must be integer indices into the points."""
@@ -717,19 +744,21 @@ def test_multiplicity_matches_loop(name, rel_eps):
 @pytest.mark.parametrize("closed", [False, True])
 def test_edge_lengths_are_cached_read_only(closed):
     """[TRIVIAL] edge_lengths() is the constructor's read-only array, the
-    norms of edge_vectors() to the bit; transformed and replace recompute it."""
+    norms of the edge vectors to the bit; transformed and replace recompute
+    it."""
     c = curves.DiscreteCurve(perturbed_circle(3, 64, 0.05).points, closed=closed)
     h = c.edge_lengths()
     assert h is c.edge_lengths() and len(h) == (64 if closed else 63)
     assert not h.flags.writeable
     with pytest.raises(ValueError):
         h[0] = 1.0
-    assert h.tobytes() == np.linalg.norm(c.edge_vectors(), axis=1).tobytes()
+    assert h.tobytes() == np.linalg.norm(_edge_vectors(c.points, closed), axis=1).tobytes()
     assert c.length() == float(h.sum())
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
     for d in (c.transformed(rotation=2.0 * rot, translation=np.array([1.0, 2.0])),
               replace(c, points=3.0 * c.points)):
-        assert d.edge_lengths().tobytes() == np.linalg.norm(d.edge_vectors(), axis=1).tobytes()
+        want = np.linalg.norm(_edge_vectors(d.points, closed), axis=1)
+        assert d.edge_lengths().tobytes() == want.tobytes()
         assert d.edge_lengths().tobytes() != h.tobytes()
 
 
@@ -782,7 +811,7 @@ def test_edge_norms_equal_linalg_norm_bitwise(dim, closed, n, seed, lo, span):
     rng = np.random.default_rng(seed)
     exponents = rng.uniform(lo, min(150, lo + span), size=(n, dim))
     pts = rng.standard_normal((n, dim)) * 10.0 ** exponents
-    want = np.linalg.norm(curves._edge_vectors(pts, closed), axis=1).tobytes()
+    want = np.linalg.norm(_edge_vectors(pts, closed), axis=1).tobytes()
     assert curves._edge_norms(pts.T, closed).tobytes() == want
     assert curves._edge_norms(np.ascontiguousarray(pts.T), closed).tobytes() == want
 

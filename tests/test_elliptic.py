@@ -115,6 +115,12 @@ def test_m_star_residual():
     assert abs(elliptic.complete_K(c.m_star) - 2.0 * elliptic.complete_E(c.m_star)) < 1e-12
 
 
+def test_constants_are_the_derived_bundle_to_the_bit():
+    """[DERIVED] the bundle `constants()` holds as data is the one
+    `solve_m_star` derives with the installed scipy, bit for bit."""
+    assert elliptic.constants() == elliptic.solve_m_star()
+
+
 def test_constants_reference_values():
     """[PAPER] published decimal values of the constants bundle."""
     c = elliptic.constants()

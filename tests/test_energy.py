@@ -118,11 +118,14 @@ def test_e_lambda_rejects_negative_lambda():
 
 @pytest.mark.parametrize("fn, lam", [
     (energy.report, -1.0), (energy.report, math.nan), (energy.report, math.inf),
-    (energy.e_lambda, math.nan), (energy.e_lambda, math.inf)],
-    ids=["-1.0", "nan", "inf", "e_lambda-nan", "e_lambda-inf"])
+    (energy.e_lambda, math.nan), (energy.e_lambda, math.inf),
+    (energy.e_lambda, True), (energy.report, np.True_)],
+    ids=["-1.0", "nan", "inf", "e_lambda-nan", "e_lambda-inf", "e_lambda-True",
+         "numpy-True"])
 def test_energy_report_rejects_negative_lambda(fn, lam):
-    """[TRIVIAL] report shares e_lambda's domain check, which NaN and inf
-    fail too (e_lambda(circle, nan) used to return nan, and inf inf)."""
+    """[TRIVIAL] report shares e_lambda's domain check, which NaN, inf and
+    bools fail too (e_lambda(circle, nan) used to return nan, inf inf, and
+    True the energy at lambda = 1)."""
     with pytest.raises(ValueError, match="^lambda must be finite and nonnegative$"):
         fn(curves.circle(2, 1.0, 64), lam)
 
@@ -380,14 +383,16 @@ def test_pruned_scan_counts_samples_whose_squared_distance_underflows():
 
 
 def _counting_multiplicity(monkeypatch):
+    """Record every cluster count: each `multiplicity` call, and each
+    evaluation the scan makes after its one check of eps."""
     calls = []
-    real = curves.multiplicity
+    real = curves._clusters
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(curves, "multiplicity", counted)
+    monkeypatch.setattr(curves, "_clusters", counted)
     return calls
 
 
@@ -427,6 +432,20 @@ def test_pruned_scan_warns_on_coarse_eps_without_evaluating(monkeypatch):
         with pytest.raises(ValueError, match="no point of multiplicity >= 3"):
             energy.li_yau_margin(curve, 3)
     assert calls == []
+
+
+def test_margin_warns_once_on_coarse_eps():
+    """[TRIVIAL] the margin checks eps once: at a coarse eps, where the
+    bound reaches k = 3 at nearly every sample, the scan used to warn once
+    per sample it evaluated (2049 warnings here)."""
+    curve = curves.sample_figure_eight(2, 2048)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="no point of multiplicity >= 3"):
+            energy.li_yau_margin(curve, 3, 1e-3 * curve.length())
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        f"eps={1e-3 * curve.length():g} exceeds half the minimum edge length "
+        f"{curve.edge_lengths().min():g}"]
 
 
 def test_pruned_scan_does_not_warn_on_fine_eps():

@@ -349,7 +349,7 @@ def test_fixed_length_flow_of_a_huge_circle():
 @pytest.mark.parametrize("mode, value", [
     ("fixed-lambda", math.nan), ("fixed-lambda", math.inf), ("fixed-length", math.nan),
     ("fixed-length", math.inf), ("fixed-length", 0.0), ("fixed-length", -1.0),
-    ("fixed-lambda", -1.0)])
+    ("fixed-lambda", -1.0), ("fixed-lambda", True)])
 def test_run_rejects_out_of_domain_lambda_and_L0(mode, value):
     """[TRIVIAL] a lambda that is not finite and nonnegative, or an L0 that is
     not finite and positive, fails before the first step (L0 = -1 used to
