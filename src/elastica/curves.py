@@ -83,10 +83,17 @@ def _checked_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
 def _real_coordinates(points) -> np.ndarray:
     """`points` as a float array, from floats (with their bits) or integers:
     complex, bool, string and other arrays are refused by their dtype before
-    any cast, and an object array (mixed or huge Python numbers) by the cast."""
+    any cast, and an object array (mixed or huge Python numbers) by the cast.
+    Input that is not an ndarray, and an object array, are also read element
+    by element: numpy reads a bool among numbers as 0/1, and the cast of an
+    object array reads True and "1" as 1.0."""
     pts = np.asarray(points)
-    if pts.dtype.kind not in "fiuO":
-        raise ValueError(f"coordinates must be real numbers, got {pts.dtype} values")
+    dtype = pts.dtype
+    if dtype.kind == "O" or (dtype.kind in "fiu" and not isinstance(points, np.ndarray)):
+        dtype = next((np.asarray(v).dtype for v in np.asarray(points, dtype=object).flat
+                      if isinstance(v, (bool, np.bool_, str, bytes))), dtype)
+    if dtype.kind not in "fiuO":
+        raise ValueError(f"coordinates must be real numbers, got {dtype} values")
     try:
         return pts.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):

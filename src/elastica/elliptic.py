@@ -4,7 +4,9 @@ universal constants of the figure-eight elastica.
 `scipy.special` is the only backend: complete K/E are `ellipk`/`ellipe`, the
 incomplete integrals are Carlson's symmetric forms `elliprf`/`elliprd` on the
 principal amplitude, and am/sn/cn come from `ellipj`.  The incomplete and
-Jacobi functions accept arrays; a scalar in gives a float out.
+Jacobi functions accept arrays; a scalar in gives a float out.  They refuse
+an argument that holds a nan or an infinity, with one `ValueError` that
+names the parameter, as they refuse m outside (0, 1).
 
 Importing this module loads no scipy module.  The five names above start as
 stubs, and the first call of any of them imports `scipy.special` and rebinds
@@ -56,6 +58,14 @@ def _check_m(m: float) -> float:
     return m
 
 
+def _check_finite(name: str, x) -> None:
+    """Refuse an argument `x` (a scalar or an array) that holds a nan or an
+    infinity, naming the parameter and the first such value."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"parameter {name} must be finite, got {np.asarray(x)[~finite].flat[0]}")
+
+
 def _like(value: np.ndarray, arg) -> float | np.ndarray:
     """`value` as a float when `arg` is a scalar, else as an array."""
     return float(value) if np.ndim(arg) == 0 else value
@@ -76,6 +86,7 @@ def _reduce(x, m: float):
     Carlson arguments cos^2 r, 1 - m sin^2 r.  Products, not powers, keep
     array and scalar calls bit-identical."""
     x = np.asarray(x, dtype=float)
+    _check_finite("x", x)
     k = np.floor(x / math.pi + 0.5)
     r = x - k * math.pi
     s, c = np.sin(r), np.cos(r)
@@ -101,19 +112,26 @@ def incomplete_E(x: float | np.ndarray, m: float) -> float | np.ndarray:
     return _like(2.0 * k * complete_E(m) + principal, x)
 
 
+def _jacobi(u, m: float) -> tuple:
+    """`ellipj(u, m)`, (sn, cn, dn, am), on checked arguments."""
+    m = _check_m(m)
+    _check_finite("u", u)
+    return ellipj(u, m)
+
+
 def amplitude(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi amplitude am(u, m), the inverse of F(., m)."""
-    return _like(ellipj(u, _check_m(m))[3], u)
+    return _like(_jacobi(u, m)[3], u)
 
 
 def cn(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi cn(u, m) = cos(am(u, m))."""
-    return _like(ellipj(u, _check_m(m))[1], u)
+    return _like(_jacobi(u, m)[1], u)
 
 
 def sn(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi sn(u, m) = sin(am(u, m))."""
-    return _like(ellipj(u, _check_m(m))[0], u)
+    return _like(_jacobi(u, m)[0], u)
 
 
 def dK_dm(m: float) -> float:

@@ -18,7 +18,9 @@ dt.  Every trial is remeshed: nodes are redistributed to uniform arclength on
 the periodic cubic spline through the trial polygon; the spline is solved
 here (one LAPACK `gtsv` tridiagonal solve), to the bit as scipy's
 `CubicSpline` with periodic ends would give it, without importing
-`scipy.interpolate`.  Building a `FlowState` makes its curve's one geometry
+`scipy.interpolate`.  The first remesh binds `dgtsv` from LAPACK's compiled
+module `scipy.linalg._flapack`, loaded alone (`_lazy.on_first_use`), so a
+flow loads neither the `scipy.linalg` package nor `scipy.special`.  Building a `FlowState` makes its curve's one geometry
 pass (one evaluation of the curvature kernel that `energy.curvature_vectors`
 wraps), which the energy test, the next step and the monitoring read, and its
 edge lengths are the ones `DiscreteCurve` computed when it checked the points.
@@ -56,8 +58,8 @@ from .curves import (DiscreteCurve, _check_eps, _check_int, _checked_edge_norms,
                      _edge_norms, is_embedded)
 from .energy import _check_lambda, _curvature_rows
 
-# LAPACK's tridiagonal solve, imported on the first remesh
-(dgtsv,) = on_first_use(globals(), "scipy.linalg.lapack", "dgtsv")
+# LAPACK's tridiagonal solve, from the compiled module alone on the first remesh
+(dgtsv,) = on_first_use(globals(), "scipy.linalg._flapack", "dgtsv")
 
 __all__ = [
     "FlowConfig",

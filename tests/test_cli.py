@@ -247,8 +247,8 @@ def test_commands_that_only_read_the_constants_load_no_scipy(subprocess_env, tmp
     """[TRIVIAL] in a fresh interpreter, `generate circle`, `energy --k 2` on
     a 2-turn circle, `closure-search` and `constants` read the constants
     bundle and evaluate no elliptic function, so they load no scipy module;
-    a `flow` run after them loads LAPACK for its remesh, and still not
-    `scipy.special`."""
+    a `flow` run after them loads LAPACK's compiled module for its remesh,
+    and neither the `scipy.linalg` package nor `scipy.special`."""
     one, two = str(tmp_path / "c1.csv"), str(tmp_path / "c2.csv")
     commands = [["generate", "circle", "--n", "64", "--out", one],
                 ["generate", "circle", "--turns", "2", "--n", "128", "--out", two],
@@ -263,12 +263,69 @@ def test_commands_that_only_read_the_constants_load_no_scipy(subprocess_env, tmp
             "    code = dispatch(argv)\n"
             # loading any scipy module loads the package 'scipy' too
             "    print(argv[0], code, sorted(m for m in sys.modules if m in "
-            "('scipy', 'scipy.special', 'scipy.linalg.lapack')), file=sys.stderr)\n")
+            "('scipy', 'scipy.special', 'scipy.linalg', 'scipy.linalg.lapack', "
+            "'scipy.linalg._flapack')), file=sys.stderr)\n")
     res = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
                          capture_output=True, text=True)
     assert res.stderr.splitlines() == [
         "generate 0 []", "generate 0 []", "energy 0 []", "closure-search 0 []",
-        "constants 0 []", "flow 0 ['scipy', 'scipy.linalg.lapack']"]
+        "constants 0 []", "flow 0 ['scipy', 'scipy.linalg._flapack']"]
+
+
+def test_first_use_loads_the_module_alone(subprocess_env, tmp_path):
+    """[TRIVIAL] `_lazy.on_first_use` imports the top-level package, runs the
+    `__init__` of no package in between, and registers the module so that a
+    later import of its package reuses it; a module that fails to load is
+    not left registered."""
+    sub = tmp_path / "toppkg" / "sub"
+    sub.mkdir(parents=True)
+    (tmp_path / "toppkg" / "__init__.py").write_text("")
+    (sub / "__init__.py").write_text("print('sub ran')\nfrom . import leaf\n")
+    (sub / "leaf.py").write_text("print('leaf ran')\ndef twice(x):\n    return 2 * x\n")
+    (sub / "broken.py").write_text("raise RuntimeError('broken ran')\n")
+    code = ("import sys\n"
+            "from elastica._lazy import on_first_use\n"
+            "(twice,) = on_first_use(globals(), 'toppkg.sub.leaf', 'twice')\n"
+            "(x,) = on_first_use(globals(), 'toppkg.sub.broken', 'x')\n"
+            "print(twice(21), sorted(m for m in sys.modules if m.startswith('toppkg')))\n"
+            "try:\n"
+            "    x()\n"
+            "except RuntimeError as e:\n"
+            "    print(e, 'toppkg.sub.broken' in sys.modules)\n"
+            "import toppkg.sub\n"
+            "print(twice is toppkg.sub.leaf.twice)\n")
+    # the child runs in tmp_path, which `python -c` puts first on sys.path
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True).stdout
+    assert out == ("leaf ran\n42 ['toppkg', 'toppkg.sub.leaf']\n"
+                   "broken ran False\nsub ran\nTrue\n")
+
+
+def test_concurrent_first_uses_load_each_module_once(subprocess_env):
+    """[TRIVIAL] in a fresh interpreter, eight threads (more than the cores)
+    reach the first elliptic evaluation and the first remesh together, with
+    a short switch interval; each call returns its value, none meets a
+    half-executed module."""
+    code = ("import sys, threading\n"
+            "from elastica import curves, elliptic, flow\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier, results = threading.Barrier(8), []\n"
+            "def work(i):\n"
+            "    barrier.wait()\n"
+            "    if i % 2:\n"
+            "        results.append(elliptic.complete_K(0.5) == 1.8540746773013719)\n"
+            "    else:\n"
+            "        c = curves.circle(2, 1.0, 16)\n"
+            "        results.append(flow._resample_uniform(c, 16).n_points == 16)\n"
+            "threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "print(sum(t.is_alive() for t in threads), results.count(True))\n")
+    res = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert res.stdout == "0 8\n"
 
 
 def _imported_names(node):

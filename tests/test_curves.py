@@ -455,12 +455,19 @@ def test_discrete_curve_rejects_non_finite_coordinates():
     ([["0", "0"], ["1", "0"], ["0", "1"]], "real numbers, got <U1 values"),
     ([[10 ** 400, 0], [0, 1], [-1, 0]], "real numbers that fit a float"),
     (np.array([[0, 0], [1, 0], [0, 1j]], dtype=object), "real numbers that fit a float"),
-], ids=["complex", "bool", "str", "huge-int", "object-complex"])
+    ([[True, 0], [2, 0], [0, 2]], "real numbers, got bool values"),
+    ([[0.0, 0.0], [np.True_, 0.0], [0.0, 2.0]], "real numbers, got bool values"),
+    (np.array([["1", 0], [2, 0], [0, 2]], dtype=object), "real numbers, got <U1 values"),
+    (np.array([[True, 0], [2, 0], [0, 2]], dtype=object), "real numbers, got bool values"),
+], ids=["complex", "bool", "str", "huge-int", "object-complex", "bool-among-ints",
+        "numpy-bool-among-floats", "object-str", "object-bool"])
 def test_discrete_curve_refuses_non_real_coordinates(points, message):
     """[TRIVIAL] coordinates that are not real numbers fail with one
     ValueError that names them: complex input used to lose its imaginary
-    parts behind numpy's ComplexWarning, bools read as 0/1, and 10**400
-    raised a bare OverflowError.  Integer and float32 input still convert."""
+    parts behind numpy's ComplexWarning, bools read as 0/1, also among
+    numbers in a list or in an object array, "1" in an object array read as
+    1.0, and 10**400 raised a bare OverflowError.  Integer and float32 input
+    still convert."""
     with pytest.raises(ValueError, match=f"^coordinates must be {message}$"):
         curves.DiscreteCurve(points, closed=True)
     square = [[0, 0], [2, 0], [2, 2], [0, 2]]

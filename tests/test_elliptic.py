@@ -149,6 +149,20 @@ def test_amplitude_rejects_bad_parameter():
         elliptic.amplitude(1.0, -0.1)
 
 
+@pytest.mark.parametrize("name, arg", [
+    ("amplitude", "u"), ("cn", "u"), ("sn", "u"), ("incomplete_F", "x"), ("incomplete_E", "x")])
+@pytest.mark.parametrize("value, shown", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), ([1.0, math.nan], "nan"),
+    (np.array([[0.5, 0.25], [-math.inf, 1.0]]), "-inf")])
+def test_non_finite_arguments_are_refused(name, arg, value, shown):
+    """[TRIVIAL] a nan or an infinity in the argument fails with one
+    ValueError that names the parameter: amplitude(inf) and incomplete_E(nan)
+    returned nan, incomplete_F(inf) warned, and sn([1, nan]) returned a nan
+    element."""
+    with pytest.raises(ValueError, match=f"^parameter {arg} must be finite, got {shown}$"):
+        getattr(elliptic, name)(value, 0.5)
+
+
 # Exact ellipj amplitudes on the closed figure-eight grids where scipy 1.17.1's
 # ellipeinc/ellipkinc are off by up to 0.07/0.15; nearby phases are fine.
 _M_STAR = 0.8261147659849704
