@@ -5,16 +5,13 @@ importing the package loads numpy and no scipy module: `elliptic` binds five
 `scipy.special` ufuncs, and `flow` binds LAPACK's `dgtsv` from the compiled
 module `scipy.linalg._flapack`.
 
-The first use loads the named module alone.  It imports the top-level
-package (`scipy`, whose `__init__` sets up what its compiled modules need on
-every platform), then loads the module from its own file and runs the
-`__init__` of no package in between: `scipy.linalg`'s would import 75 more
-scipy modules to hand over one LAPACK routine.  The module is registered in
-`sys.modules`, so a later `import scipy.linalg` reuses the same object, and
-`scipy.linalg.lapack.dgtsv` is `flow.dgtsv`; that package, loaded later,
-does not hold the module as an attribute, which no scipy code reads.  One
-lock serialises the loads, so threads that reach a first use together load
-the module once and none sees it half executed.
+The first use loads the named module alone (`_load_alone`): it runs the
+`__init__` of the top-level package (`scipy`, which sets up what its compiled
+modules need) and of no package in between, since `scipy.linalg`'s would
+import 75 more scipy modules to hand over one LAPACK routine.  A package in
+between that is loaded later does not hold the module as an attribute, which
+no scipy code reads.  One lock serialises the loads, so threads that reach a
+first use together load the module once and none sees it half executed.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, curves, elliptic, energy, flow, networks
+from ._checks import _check_int
 from .random_shapes import perturbed_circle, random_drop
 from .serialization import (curve_from_csv, curve_from_json, curve_to_csv,
                             curve_to_json, format_float, network_from_json,
@@ -172,7 +173,7 @@ def cmd_network(args) -> int:
         })
         return EXIT_OK
     # sweep
-    curves._check_int(args.steps, 1, "steps")
+    _check_int(args.steps, 1, "steps")
     if args.steps > 10**6:
         raise ValueError("steps > 1000000 exceeds the output budget")
     if args.m_lo >= args.m_hi:
@@ -199,10 +200,7 @@ def cmd_closure_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.target == "all":
-        results = run_all()
-    else:
-        results = [run_criterion(args.target)]
+    results = run_all() if args.target == "all" else [run_criterion(args.target)]
     for r in results:
         print(r.line)
     n_fail = sum(not r.passed for r in results)

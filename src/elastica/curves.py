@@ -1,10 +1,10 @@
 """Discrete curves and analytic generators for the explicit elastica zoo.
 
 Provides the polyline carrier (its points are checked, and its coordinate
-rows and edge lengths computed, once, when it is built), the wavelike and figure-eight samplers, the
-half-leaf building block, the tangent tuples that lay out leafed elasticae
-(including the 3d propeller), the planar-closure sign search, and
-multiplicity / embeddedness predicates.
+rows and edge lengths computed, once, when it is built), the wavelike and
+figure-eight samplers, the half-leaf building block, the tangent tuples that
+lay out leafed elasticae (including the 3d propeller), the planar-closure
+sign search, and multiplicity / embeddedness predicates.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import elliptic
+from ._checks import (_check_closed, _check_finite, _check_int, _check_number,
+                      _check_positive, _check_real)
 from .elliptic import constants
 
 __all__ = [
@@ -57,17 +59,14 @@ def _edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     (dim, n) array, closing edge last for closed curves: the bits of
     `np.linalg.norm` over the coordinates of each edge vector.  An edge too
     long for a float comes out as inf, without a numpy warning."""
-    if closed:
-        ahead = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1)
-        behind = rows
-    else:
-        ahead, behind = rows[:, 1:], rows[:, :-1]
+    ahead = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1) if closed else rows[:, 1:]
+    behind = rows if closed else rows[:, :-1]
     with np.errstate(over="ignore"):
         e = ahead - behind
         return np.sqrt(_dot_rows(e, e))
 
 
-def _checked_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
+def _curve_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     """`_edge_norms` of (dim, n) coordinate rows that every curve must have:
     finite, with distinct consecutive points and finite edge lengths."""
     if not np.isfinite(rows).all():
@@ -80,34 +79,6 @@ def _checked_edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     return h
 
 
-def _real_coordinates(points) -> np.ndarray:
-    """`points` as a float array, from floats (with their bits) or integers:
-    complex, bool, string and other arrays are refused by their dtype before
-    any cast, and an object array (mixed or huge Python numbers) by the cast.
-    Input that is not an ndarray, and an object array, are also read element
-    by element: numpy reads a bool among numbers as 0/1, and the cast of an
-    object array reads True and "1" as 1.0."""
-    pts = np.asarray(points)
-    dtype = pts.dtype
-    if dtype.kind == "O" or (dtype.kind in "fiu" and not isinstance(points, np.ndarray)):
-        dtype = next((np.asarray(v).dtype for v in np.asarray(points, dtype=object).flat
-                      if isinstance(v, (bool, np.bool_, str, bytes))), dtype)
-    if dtype.kind not in "fiuO":
-        raise ValueError(f"coordinates must be real numbers, got {dtype} values")
-    try:
-        return pts.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("coordinates must be real numbers that fit a float") from None
-
-
-def _check_closed(closed) -> bool:
-    """The one check of an open/closed flag: a bool or numpy bool, returned
-    as a Python bool."""
-    if not isinstance(closed, (bool, np.bool_)):
-        raise ValueError("closed must be true or false")
-    return bool(closed)
-
-
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Ordered point list in R^n with open/closed flag.
@@ -115,11 +86,9 @@ class DiscreteCurve:
     Closed curves are interpreted cyclically (no duplicated endpoint).
     Points and edge lengths are stored read-only; curves are safe to share.
     `rows` holds the same coordinates as a read-only C-contiguous (dim, n)
-    array, from which the queries compute: a reduction over the coordinates
-    of narrow (n, dim) points runs n loops of length dim, over rows it runs
-    dim loops of length n.  The edge lengths are computed once, by the
-    constructor's check that consecutive points are distinct and their
-    distances finite.
+    array, from which the queries compute (dim loops of length n, not n
+    loops of length dim).  The edge lengths are computed once, by the
+    constructor's check of the points.
     """
 
     points: np.ndarray
@@ -129,16 +98,16 @@ class DiscreteCurve:
     _edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = _real_coordinates(self.points)
-        if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
+        pts = _check_real(self.points, "coordinates")
+        if np.ndim(pts) != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
             raise ValueError("need at least 3 points in R^n, n >= 2")
-        if self.vertex_marks is not None and not all(
+        if self.vertex_marks is not None and not (np.ndim(self.vertex_marks) == 1 and all(
                 isinstance(m, (int, np.integer)) and not isinstance(m, bool)
-                and 0 <= m < pts.shape[0] for m in self.vertex_marks):
+                and 0 <= m < pts.shape[0] for m in self.vertex_marks)):
             raise ValueError(f"vertex_marks must be integers in [0, {pts.shape[0]})")
         closed = _check_closed(self.closed)
         rows = np.array(pts.T, order="C")
-        h = _checked_edge_norms(rows, closed)
+        h = _curve_edge_norms(rows, closed)
         pts = pts.copy()
         for a in (pts, rows, h):
             a.setflags(write=False)
@@ -177,7 +146,7 @@ def _check_tangent_chain(t, closed: bool) -> np.ndarray:
     two when open, that its rows are unit vectors (to 1e-12) and that each
     consecutive pair, the last and the first too when closed, meets at the
     angle 2 phi* (cosines to 1e-10)."""
-    t = np.array(t, dtype=float)
+    t = np.array(_check_real(t, "tangents"))
     if t.ndim != 2 or t.shape[0] < 1:
         raise ValueError("tangents must be a (k, n) array")
     if not closed and t.shape[0] < 2:
@@ -186,9 +155,8 @@ def _check_tangent_chain(t, closed: bool) -> np.ndarray:
     # the comparisons are written so that NaN fails too
     if not (np.abs(np.sqrt(gram.diagonal()) - 1.0) <= 1e-12).all():
         raise ValueError("tangents must be unit vectors to 1e-12")
-    dots = gram.diagonal(1)   # the pairs (i, i + 1), and (k - 1, 0) when closed
-    if closed:
-        dots = np.concatenate([dots, gram[-1:, 0]])
+    # the pairs (i, i + 1), and (k - 1, 0) when closed
+    dots = np.concatenate([gram.diagonal(1), gram[-1:, 0]]) if closed else gram.diagonal(1)
     if not (np.abs(dots - math.cos(2.0 * constants().phi_star)) <= 1e-10).all():
         raise ValueError("consecutive tangents must meet at angle 2 phi* to 1e-10")
     t.setflags(write=False)
@@ -224,8 +192,8 @@ class TangentTuple:
 def sample_wavelike(m: float, s_lo: float, s_hi: float, n_samples: int) -> DiscreteCurve:
     """Arclength samples of the planar wavelike elastica
     (2E(am(s,m),m) - s, -2 sqrt(m) cn(s,m)); signed curvature 2 sqrt(m) cn(s,m)."""
-    if s_lo >= s_hi:
-        raise ValueError("need s_lo < s_hi")
+    s_lo, s_hi = _check_number(s_lo, "s_lo"), _check_number(s_hi, "s_hi")
+    _check_positive(s_hi - s_lo, "s_hi - s_lo")
     _check_int(n_samples, 3, "n_samples")
     svals = np.linspace(s_lo, s_hi, n_samples)
     am = elliptic.amplitude(svals, m)
@@ -268,11 +236,7 @@ def canonical_half_leaf(n_samples: int) -> DiscreteCurve:
 def build_tangent_tuple_propeller() -> TangentTuple:
     """The symmetric Omega*(3,3) triple: three unit vectors on a cone about
     e3, pairwise at angle 2 phi*."""
-    c = constants()
-    cos2phi = math.cos(2.0 * c.phi_star)
-    cos2_theta = (cos2phi + 0.5) / 1.5
-    if cos2_theta <= 0.0:
-        raise RuntimeError("cos(2 phi*) <= -1/2: propeller tuple infeasible; constants corrupted")
+    cos2_theta = (math.cos(2.0 * constants().phi_star) + 0.5) / 1.5
     cos_t = math.sqrt(cos2_theta)
     sin_t = math.sqrt(1.0 - cos2_theta)
     omegas = np.array([
@@ -290,8 +254,10 @@ def planar_tangent_tuple(signs: Sequence[int]) -> TangentTuple:
 
     Only valid when the signed angles close up modulo 2 pi (e.g. the balanced
     two-leaf sequence (+1, -1) producing the figure-eight)."""
-    c = constants()
-    angles = 2.0 * c.phi_star * np.cumsum(np.asarray(signs, dtype=float))
+    signs = _check_real(signs, "signs")
+    if np.ndim(signs) != 1 or not (np.abs(signs) == 1.0).all():
+        raise ValueError("signs must be a sequence of +1 and -1")
+    angles = 2.0 * constants().phi_star * np.cumsum(signs)
     omegas = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return TangentTuple(omegas)
 
@@ -302,7 +268,6 @@ def propeller_eight_tuple(k: int) -> TangentTuple:
     if k % 2 == 0:
         raise ValueError("composite tuple needs odd k >= 5")
     prop = build_tangent_tuple_propeller().omegas
-    c = constants()
     # append (k-3) vectors alternating omega_3 rotated by +-2 phi* about an
     # axis orthogonal to omega_3, i.e. a planar figure-eight chain hanging
     # off the last propeller tangent.
@@ -312,9 +277,8 @@ def propeller_eight_tuple(k: int) -> TangentTuple:
     e = np.array([1.0, 0.0, 0.0])
     w = e - np.dot(e, last) * last
     w /= np.linalg.norm(w)
-    two_phi = 2.0 * c.phi_star
-    extra = []
-    cur = 0.0
+    two_phi = 2.0 * constants().phi_star
+    extra, cur = [], 0.0
     for i in range(k - 3):
         cur += two_phi if i % 2 == 0 else -two_phi
         extra.append(math.cos(cur) * last + math.sin(cur) * w)
@@ -337,9 +301,7 @@ def assemble_leafed(tangents: TangentTuple, n_samples_per_leaf: int) -> Discrete
     t = tangents.omegas
     leaf = canonical_half_leaf(n_samples_per_leaf)
     xy = leaf.points * (1.0 / leaf_reference_length())
-    pieces = []
-    marks = []
-    offset = 0
+    pieces, marks, offset = [], [], 0
     for i in range(tangents.k):
         u, w = _leaf_frame(t[i], t[(i + 1) % len(t)])
         pts = np.outer(xy[:, 0], u) + np.outer(xy[:, 1], w)
@@ -369,25 +331,11 @@ def propeller_curve(n_samples_per_leaf: int = 256) -> DiscreteCurve:
 # ---------------------------------------------------------------------------
 # planar closure search
 
-def _check_eps(eps: float, name: str = "eps") -> None:
-    """The one check of a tolerance: finite and positive."""
-    # written so that NaN fails too
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"{name} must be finite and positive")
-
-
-def _check_int(value, low: int, name: str) -> None:
-    """The one check of a count: an integer (not a bool) >= low."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}")
-
-
 def search_planar_closure(k: int, eps: float) -> list:
     """All sign sequences sigma in {-1,1}^k with sum(sigma) * 2 phi* within
     eps of a multiple of 2 pi.  Empty output for odd k is the numerical
     footprint of the planar nonexistence obstruction."""
-    _check_eps(eps)
+    eps = _check_positive(eps, "eps")
     _check_int(k, 1, "k")
     if k > 25:
         raise ValueError("k > 25 exceeds the 2^k output budget")
@@ -414,8 +362,7 @@ def circle(n: int, radius: float, n_samples: int, turns: int = 1) -> DiscreteCur
     """Closed planar circle embedded in R^n (first two coordinates); turns > 1
     gives a multiply covered circle."""
     _check_int(n, 2, "dimension")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _check_positive(radius, "radius")
     _check_int(n_samples, 3, "n_samples")
     _check_int(turns, 1, "turns")
     theta = np.linspace(0.0, 2.0 * math.pi * turns, n_samples, endpoint=False)
@@ -428,8 +375,9 @@ def circle(n: int, radius: float, n_samples: int, turns: int = 1) -> DiscreteCur
 def segment(p: np.ndarray, q: np.ndarray, n_samples: int) -> DiscreteCurve:
     """Uniform samples of the straight segment from p to q."""
     _check_int(n_samples, 3, "n_samples")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _check_finite(p, "p"), _check_finite(q, "q")
+    if np.ndim(p) != 1 or np.shape(p) != np.shape(q):
+        raise ValueError("p and q must be points of one dimension")
     tvals = np.linspace(0.0, 1.0, n_samples)[:, None]
     return DiscreteCurve(p + tvals * (q - p), closed=False)
 
@@ -437,28 +385,32 @@ def segment(p: np.ndarray, q: np.ndarray, n_samples: int) -> DiscreteCurve:
 # ---------------------------------------------------------------------------
 # multiplicity and embeddedness
 
-def _check_cluster_eps(curve: DiscreteCurve, eps: float) -> None:
+def _check_cluster_eps(curve: DiscreteCurve, eps: float) -> float:
     """The check `multiplicity` makes of eps, and its warning when eps is
-    coarse for the curve's sampling."""
-    _check_eps(eps)
+    coarse for the curve's sampling; returns eps as a float."""
+    eps = _check_positive(eps, "eps")
     min_edge = curve.edge_lengths().min()
     if eps > 0.5 * min_edge:
         import warnings
         warnings.warn(f"eps={eps:g} exceeds half the minimum edge length {min_edge:g}; "
                       "cluster separation may be unreliable")
+    return eps
 
 
 def multiplicity(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
     """Count maximal clusters of samples within eps of `point`, separated by
     excursions beyond 2 eps.  Clusters are the discrete shadows of preimage
     points, so sampling density does not inflate the count."""
-    _check_cluster_eps(curve, eps)
+    eps = _check_cluster_eps(curve, eps)
+    point = _check_finite(point, "point")
+    if np.shape(point) != (curve.dimension,):
+        raise ValueError(f"point must be a vector of dimension {curve.dimension}")
     return _clusters(curve, point, eps)
 
 
 def _clusters(curve: DiscreteCurve, point: np.ndarray, eps: float) -> int:
-    """`multiplicity` without its check of eps."""
-    diff = curve.rows - np.asarray(point, dtype=float).reshape(-1, 1)
+    """`multiplicity` without its checks: `point` is a float vector."""
+    diff = curve.rows - point[:, None]
     d = np.sqrt(_dot_rows(diff, diff))
     inside = d <= eps
     if not inside.any():
@@ -535,7 +487,7 @@ def _has_point_of_multiplicity(curve: DiscreteCurve, k: int, eps: float) -> bool
     other sample, in index order, only if none of those passes; each pass
     tries only the samples whose `_box_counts` bound reaches k."""
     # check and warn as multiplicity does, once, even where no sample is tried
-    _check_cluster_eps(curve, eps)
+    eps = _check_cluster_eps(curve, eps)
     rows, n = curve.rows, curve.n_points
     if curve.vertex_marks:
         return _clusters(curve, rows[:, curve.vertex_marks[0]], eps) >= k
@@ -578,17 +530,9 @@ def _on_segment(a, b, p) -> bool:
 def _segments_intersect_2d(a, b, c, d) -> bool:
     o1, o2 = _orient(a, b, c), _orient(a, b, d)
     o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
+    return ((o1 != o2 and o3 != o4) or (o1 == 0 and _on_segment(a, b, c))
+            or (o2 == 0 and _on_segment(a, b, d)) or (o3 == 0 and _on_segment(c, d, a))
+            or (o4 == 0 and _on_segment(c, d, b)))
 
 
 def _segment_distance(p1, p2, q1, q2) -> float:

@@ -4,9 +4,10 @@ universal constants of the figure-eight elastica.
 `scipy.special` is the only backend: complete K/E are `ellipk`/`ellipe`, the
 incomplete integrals are Carlson's symmetric forms `elliprf`/`elliprd` on the
 principal amplitude, and am/sn/cn come from `ellipj`.  The incomplete and
-Jacobi functions accept arrays; a scalar in gives a float out.  They refuse
-an argument that holds a nan or an infinity, with one `ValueError` that
-names the parameter, as they refuse m outside (0, 1).
+Jacobi functions accept arrays; a scalar in gives a float out.  Arguments
+pass the checks of `_checks`: one that is not real (a bool, a complex number,
+a string) or holds a nan or an infinity fails with one `ValueError` that
+names the parameter, as m outside (0, 1) does.
 
 Importing this module loads no scipy module.  The five names above start as
 stubs, and the first call of any of them imports `scipy.special` and rebinds
@@ -26,10 +27,11 @@ module.  A tier-1 test checks that the derivation still gives these bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import _check_finite, _check_m
 from ._lazy import on_first_use
 
 ellipe, ellipj, ellipk, elliprd, elliprf = on_first_use(
@@ -51,24 +53,9 @@ __all__ = [
 ]
 
 
-def _check_m(m: float) -> float:
-    m = float(m)
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"parameter m must lie in the open interval (0,1), got {m}")
-    return m
-
-
-def _check_finite(name: str, x) -> None:
-    """Refuse an argument `x` (a scalar or an array) that holds a nan or an
-    infinity, naming the parameter and the first such value."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise ValueError(f"parameter {name} must be finite, got {np.asarray(x)[~finite].flat[0]}")
-
-
-def _like(value: np.ndarray, arg) -> float | np.ndarray:
-    """`value` as a float when `arg` is a scalar, else as an array."""
-    return float(value) if np.ndim(arg) == 0 else value
+def _like(value: np.ndarray, x) -> float | np.ndarray:
+    """`value` as a float when the checked argument `x` is one, else as an array."""
+    return float(value) if isinstance(x, float) else value
 
 
 def complete_K(m: float) -> float:
@@ -82,11 +69,9 @@ def complete_E(m: float) -> float:
 
 
 def _reduce(x, m: float):
-    """Split x = k pi + r with r in [-pi/2, pi/2]; return k, sin r and the
-    Carlson arguments cos^2 r, 1 - m sin^2 r.  Products, not powers, keep
-    array and scalar calls bit-identical."""
-    x = np.asarray(x, dtype=float)
-    _check_finite("x", x)
+    """Split a checked x = k pi + r with r in [-pi/2, pi/2]; return k, sin r
+    and the Carlson arguments cos^2 r, 1 - m sin^2 r.  Products, not powers,
+    keep array and scalar calls bit-identical."""
     k = np.floor(x / math.pi + 0.5)
     r = x - k * math.pi
     s, c = np.sin(r), np.cos(r)
@@ -97,7 +82,7 @@ def incomplete_F(x: float | np.ndarray, m: float) -> float | np.ndarray:
     """Incomplete elliptic integral of the first kind, Carlson's form
     F(r, m) = sin r R_F(cos^2 r, 1 - m sin^2 r, 1) on the principal amplitude
     r, extended by F(x + pi, m) = F(x, m) + 2K(m)."""
-    m = _check_m(m)
+    m, x = _check_m(m), _check_finite(x, "parameter x")
     k, s, c2, d2 = _reduce(x, m)
     return _like(2.0 * k * complete_K(m) + s * elliprf(c2, d2, 1.0), x)
 
@@ -106,32 +91,31 @@ def incomplete_E(x: float | np.ndarray, m: float) -> float | np.ndarray:
     """Incomplete elliptic integral of the second kind, Carlson's form
     E(r, m) = sin r R_F - (m/3) sin^3 r R_D on the principal amplitude r,
     extended by E(x + pi, m) = E(x, m) + 2E(m)."""
-    m = _check_m(m)
+    m, x = _check_m(m), _check_finite(x, "parameter x")
     k, s, c2, d2 = _reduce(x, m)
     principal = s * elliprf(c2, d2, 1.0) - (m / 3.0) * s * s * s * elliprd(c2, d2, 1.0)
     return _like(2.0 * k * complete_E(m) + principal, x)
 
 
-def _jacobi(u, m: float) -> tuple:
-    """`ellipj(u, m)`, (sn, cn, dn, am), on checked arguments."""
-    m = _check_m(m)
-    _check_finite("u", u)
-    return ellipj(u, m)
+def _jacobi(u, m: float, item: int) -> float | np.ndarray:
+    """Item `item` of `ellipj(u, m)`, (sn, cn, dn, am), on checked arguments."""
+    m, u = _check_m(m), _check_finite(u, "parameter u")
+    return _like(ellipj(u, m)[item], u)
 
 
 def amplitude(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi amplitude am(u, m), the inverse of F(., m)."""
-    return _like(_jacobi(u, m)[3], u)
+    return _jacobi(u, m, 3)
 
 
 def cn(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi cn(u, m) = cos(am(u, m))."""
-    return _like(_jacobi(u, m)[1], u)
+    return _jacobi(u, m, 1)
 
 
 def sn(u: float | np.ndarray, m: float) -> float | np.ndarray:
     """Jacobi sn(u, m) = sin(am(u, m))."""
-    return _like(_jacobi(u, m)[0], u)
+    return _jacobi(u, m, 0)
 
 
 def dK_dm(m: float) -> float:
@@ -166,14 +150,7 @@ class EllipticConstants:
         return math.degrees(self.phi_star)
 
     def as_dict(self) -> dict:
-        return {
-            "m_star": self.m_star,
-            "K_star": self.K_star,
-            "E_star": self.E_star,
-            "varpi_star": self.varpi_star,
-            "phi_star": self.phi_star,
-            "phi_star_degrees": self.phi_star_degrees,
-        }
+        return {**asdict(self), "phi_star_degrees": self.phi_star_degrees}
 
 
 def solve_m_star() -> EllipticConstants:
@@ -189,10 +166,7 @@ def solve_m_star() -> EllipticConstants:
         raise RuntimeError("root of K - 2E not bracketed in [0.75, 0.85]; elliptic backend broken")
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
     m = 0.5 * (lo + hi)
     for _ in range(200):
         r = g(m)
@@ -201,10 +175,7 @@ def solve_m_star() -> EllipticConstants:
         m -= r / (dK_dm(m) - 2.0 * dE_dm(m))
     else:
         raise RuntimeError("m* iteration did not reach residual target; elliptic backend broken")
-    K = complete_K(m)
-    E = complete_E(m)
-    if abs(K - 2.0 * E) >= 1e-12:
-        raise RuntimeError("m* residual target missed")
+    K, E = complete_K(m), complete_E(m)
     varpi = 32.0 * (2.0 * m - 1.0) * E * E
     phi = math.acos(2.0 * m - 1.0)
     return EllipticConstants(m_star=m, K_star=K, E_star=E, varpi_star=varpi, phi_star=phi)

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_int, _dot_rows, _has_point_of_multiplicity
+from ._checks import _check_int, _check_lambda, _check_positive
+from .curves import DiscreteCurve, _dot_rows, _has_point_of_multiplicity
 from .elliptic import constants
 
 __all__ = [
@@ -118,8 +119,7 @@ def total_curvature_piecewise(curves: Sequence[DiscreteCurve]) -> PiecewiseFench
     if N < 1:
         raise ValueError("need at least one curve")
     tangents = [_end_tangents(c) for c in curves]
-    tc_parts = []
-    angles = []
+    tc_parts, angles = [], []
     for j, c in enumerate(curves):
         nxt = curves[(j + 1) % N]
         if np.linalg.norm(c.points[-1] - nxt.points[0]) > 1e-9:
@@ -131,15 +131,9 @@ def total_curvature_piecewise(curves: Sequence[DiscreteCurve]) -> PiecewiseFench
     return PiecewiseFenchelReport(tc_parts=tuple(tc_parts), angles=tuple(angles), defect=defect)
 
 
-def _check_lambda(lam: float) -> None:
-    # written so that NaN fails too; a bool is no lambda, as it is no count
-    if isinstance(lam, (bool, np.bool_)) or not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lambda must be finite and nonnegative")
-
-
 def e_lambda(curve: DiscreteCurve, lam: float) -> float:
     """Length-penalized energy B + lambda L."""
-    _check_lambda(lam)
+    lam = _check_lambda(lam)
     return bending_energy(curve) + lam * length(curve)
 
 
@@ -151,8 +145,7 @@ def li_yau_margin(curve: DiscreteCurve, k: int, eps: float = None) -> float:
     curve's first marked vertex or, without marks, one of its samples.
     """
     _check_int(k, 2, "k")
-    if eps is None:
-        eps = 1e-6 * length(curve)
+    eps = 1e-6 * length(curve) if eps is None else _check_positive(eps, "eps")
     if not _has_point_of_multiplicity(curve, k, eps):
         raise ValueError(f"no point of multiplicity >= {k} found at eps={eps:g}")
     quota = k * k if curve.closed else (k - 1) ** 2
@@ -184,7 +177,7 @@ class EnergyReport:
 def report(curve: DiscreteCurve, lam: float = 1.0) -> EnergyReport:
     """Every functional at lambda; raises if one of them overflows a float
     (edges shorter than about 1e-154 square the curvature past it)."""
-    _check_lambda(lam)
+    lam = _check_lambda(lam)
     with np.errstate(over="ignore"):
         L = length(curve)
         B = bending_energy(curve)

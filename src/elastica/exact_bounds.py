@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import _check_int
+from ._checks import _check_int, _shown
 
 __all__ = ["coeff_A", "partial_S", "tail_T", "SeriesBracket", "bracket"]
 
@@ -27,10 +27,14 @@ def coeff_A(n: int) -> Fraction:
 
 
 def _check_rational_m(m: Fraction) -> Fraction:
-    m = Fraction(m)
-    if not 0 < m < 1:
-        raise ValueError(f"m must be a rational in (0,1), got {m}")
-    return m
+    # a bool or a string is no m; Fraction would read True as 1 and "1/2" as 1/2
+    try:
+        q = None if isinstance(m, (bool, str)) else Fraction(m)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if q is None or not 0 < q < 1:
+        raise ValueError(f"m must be a rational in (0,1), got {_shown(m)}")
+    return q
 
 
 def partial_S(N: int, m: Fraction) -> Fraction:

@@ -14,34 +14,20 @@ a circulant (FFT) solve on a uniform-arclength grid, and the lower-order
 terms explicitly.  Every step first tries dt = config.dt; a trial that
 increases the energy beyond a slack of 1e-9 (relative to max(1, |E|)) is
 retried with a halved dt, and this energy test is the only rule that changes
-dt.  Every trial is remeshed: nodes are redistributed to uniform arclength on
-the periodic cubic spline through the trial polygon; the spline is solved
-here (one LAPACK `gtsv` tridiagonal solve), to the bit as scipy's
-`CubicSpline` with periodic ends would give it, without importing
-`scipy.interpolate`.  The first remesh binds `dgtsv` from LAPACK's compiled
-module `scipy.linalg._flapack`, loaded alone (`_lazy.on_first_use`), so a
-flow loads neither the `scipy.linalg` package nor `scipy.special`.  Building a `FlowState` makes its curve's one geometry
-pass (one evaluation of the curvature kernel that `energy.curvature_vectors`
-wraps), which the energy test, the next step and the monitoring read, and its
-edge lengths are the ones `DiscreteCurve` computed when it checked the points.
+dt.  Every trial is remeshed to uniform arclength on the periodic cubic
+spline through the trial polygon, solved here to the bit as scipy's
+`CubicSpline` with periodic ends would give it; the first remesh binds LAPACK's
+`dgtsv` from `scipy.linalg._flapack`, loaded alone (`_lazy.on_first_use`).
+Building a `FlowState` makes its curve's one geometry pass, which the energy
+test, the next step and the monitoring read.
 
-A step computes on coordinate rows: the points (the curve's own read-only
-`rows`, not a copy), kappa, lap_n kappa and the velocity are C-contiguous
-(dim, n) arrays, so that every numpy operation runs one long loop per
-coordinate instead of n loops of length dim, and per-node
-dot products and norms are row sums taken in coordinate order.  The implicit
-step's output is checked as raw rows (finite, consecutive points distinct),
-and only the remeshed candidate of a trial becomes a `DiscreteCurve`.  In the
-plane every result is bit for bit the one of the same arithmetic on (n, dim)
-arrays.  In dimension 3 and up `np.einsum` would add the per-node products in
-another order, so flows there differ from that by round-off, which the
-explicit fourth difference magnifies like h^-4 (1e-11 in the final points of
-a converged n=256 flow, 2e-9 at n=1024).  The public `velocity_field`,
-`normal_laplacian_kappa` and `lambda_fixed_length` return (n, dim) arrays.
-
-`FlowConfig` has four knobs: the time step `dt`, the stationarity
-threshold `tol_velocity` on the max node speed, the step budget `max_steps`,
-and `embed_check_every`, the number of steps between monitoring points.
+A step computes on C-contiguous (dim, n) coordinate rows (the curve's own
+read-only `rows`), with per-node dot products taken as row sums in coordinate
+order, so planar flows are bit for bit those of the same arithmetic on
+(n, dim) arrays (README, Conventions).  The implicit step's output is checked
+as raw rows, and only the remeshed candidate of a trial becomes a
+`DiscreteCurve`.  The public `velocity_field`, `normal_laplacian_kappa` and
+`lambda_fixed_length` return (n, dim) arrays.
 """
 
 from __future__ import annotations
@@ -53,10 +39,10 @@ from typing import Optional
 
 import numpy as np
 
+from ._checks import _check_int, _check_lambda, _check_number, _check_positive
 from ._lazy import on_first_use
-from .curves import (DiscreteCurve, _check_eps, _check_int, _checked_edge_norms, _dot_rows,
-                     _edge_norms, is_embedded)
-from .energy import _check_lambda, _curvature_rows
+from .curves import DiscreteCurve, _curve_edge_norms, _dot_rows, _edge_norms, is_embedded
+from .energy import _curvature_rows
 
 # LAPACK's tridiagonal solve, from the compiled module alone on the first remesh
 (dgtsv,) = on_first_use(globals(), "scipy.linalg._flapack", "dgtsv")
@@ -86,15 +72,18 @@ class FlowConfig:
     embed_check_every: int = 50      # embeddedness monitoring cadence
 
     def __post_init__(self):
-        _check_eps(self.dt, "FlowConfig dt")
-        _check_eps(self.tol_velocity, "FlowConfig tol_velocity")
-        _check_int(self.max_steps, 1, "FlowConfig max_steps")
-        _check_int(self.embed_check_every, 1, "FlowConfig embed_check_every")
+        for key in ("dt", "tol_velocity"):   # stored as floats, so the time stays a float
+            object.__setattr__(self, key, _check_positive(getattr(self, key), f"FlowConfig {key}"))
+        for key in ("max_steps", "embed_check_every"):
+            _check_int(getattr(self, key), 1, f"FlowConfig {key}")
 
 
-def _check_closed(curve: DiscreteCurve) -> None:
+def _check_flow(curve: DiscreteCurve, mode) -> None:
+    """A flow runs on a closed curve, in one of its two modes."""
     if not curve.closed:
         raise ValueError("elastic flow runs on closed curves")
+    if not (isinstance(mode, str) and mode in ("fixed-lambda", "fixed-length")):
+        raise ValueError("mode must be 'fixed-lambda' or 'fixed-length'")
 
 
 @dataclass(frozen=True)
@@ -107,9 +96,7 @@ class FlowState:
     _geom: _Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_closed(self.curve)
-        if self.mode not in ("fixed-lambda", "fixed-length"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_flow(self.curve, self.mode)
         if self.mode == "fixed-length":
             L = self.curve.length()
             if self.target_length <= 0:
@@ -122,9 +109,7 @@ class FlowState:
 def _step_lambda(state: FlowState) -> float:
     """The lambda a step from state uses: the given one, or the fixed-length
     multiplier of its curve."""
-    if state.mode == "fixed-lambda":
-        return state.lam
-    return state._geom.lambda_fixed_length()
+    return state.lam if state.mode == "fixed-lambda" else state._geom.lambda_fixed_length()
 
 
 @dataclass
@@ -216,7 +201,7 @@ def normal_laplacian_kappa(curve: DiscreteCurve) -> np.ndarray:
 
 def velocity_field(curve: DiscreteCurve, lam: float) -> np.ndarray:
     """-lap_n kappa - (1/2)|kappa|^2 kappa + lambda kappa at every node."""
-    return _geometry(curve).velocity(lam).T.copy()
+    return _geometry(curve).velocity(_check_number(lam, "lambda")).T.copy()
 
 
 def lambda_fixed_length(curve: DiscreteCurve) -> float:
@@ -335,7 +320,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     sigma = 2.0 * float(geom.k2.max()) + abs(lam)
     for _ in range(21):
         Y = _implicit_step(geom.X, vel, h, dt, sigma)
-        Z = _uniform_arclength(Y, _checked_edge_norms(Y, True), n)
+        Z = _uniform_arclength(Y, _curve_edge_norms(Y, True), n)
         if state.mode == "fixed-length":
             sc = state.target_length / float(_edge_norms(Z, True).sum())
             # the sum in order along each row, as pts.mean(axis=0) sums the
@@ -364,15 +349,11 @@ def run(initial: DiscreteCurve, mode: str, lambda_or_L0: float,
     and classifies the limit by the roundness statistic.  If given, observer
     is called as observer(time, energy, length, roundness, embedded) at every
     monitoring point."""
+    _check_flow(initial, mode)
     if mode == "fixed-lambda":
-        _check_lambda(lambda_or_L0)
-        lam, target = lambda_or_L0, 0.0
-    elif mode == "fixed-length":
-        _check_eps(lambda_or_L0, "L0")
-        lam, target = 0.0, lambda_or_L0
+        lam, target = _check_lambda(lambda_or_L0), 0.0
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    _check_closed(initial)
+        lam, target = 0.0, _check_positive(lambda_or_L0, "L0")
     # the step divides by h^4 for the mean edge length h and multiplies
     # curvatures of about 1/h, which overflow well inside 1e-77 < h < 1e77;
     # the input is remeshed at its own length, then flows at L0 (in

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import elliptic
-from .curves import DiscreteCurve, _check_eps, _check_int, sample_wavelike, segment
+from ._checks import _check_finite, _check_int, _check_m, _check_positive, _real_scalar
+from .curves import DiscreteCurve, sample_wavelike, segment
 from .elliptic import complete_E, complete_K, constants
 from .energy import e_lambda
 
@@ -53,8 +53,8 @@ class ThetaNetwork:
     def __post_init__(self):
         if len(self.curves) != 3:
             raise ValueError("a Theta-network has exactly three curves")
-        a = np.asarray(self.junction_a, dtype=float)
-        b = np.asarray(self.junction_b, dtype=float)
+        a = _check_finite(self.junction_a, "junction_a")
+        b = _check_finite(self.junction_b, "junction_b")
         for c in self.curves:
             if c.closed:
                 raise ValueError("network curves must be open")
@@ -85,7 +85,7 @@ def theta_energy(net: ThetaNetwork) -> float:
 def wavelike_junction_angle(m: float) -> float:
     """Angle between the wavelike arc tangent at its endpoint and the inward
     axis direction: arccos(2m - 1)."""
-    return math.acos(2.0 * elliptic._check_m(m) - 1.0)
+    return math.acos(2.0 * _check_m(m) - 1.0)
 
 
 def _wavelike_end_tangents(m: float):
@@ -98,6 +98,7 @@ def _wavelike_end_tangents(m: float):
 def build_wavelike_network(m: float, n_samples: int = 512) -> ThetaNetwork:
     """Wavelike arc on [-K(m), K(m)], its reflection across the axis, and the
     connecting segment, rescaled by sqrt(B/L) so that E = 2 sqrt(L B)."""
+    m = _real_scalar(m)
     if not 0.0 < m < constants().m_star:
         raise ValueError("need 0 < m < m*: the connecting segment degenerates otherwise")
     _check_int(n_samples, 64, "n_samples")
@@ -132,8 +133,8 @@ def build_wavelike_network(m: float, n_samples: int = 512) -> ThetaNetwork:
 
 def network_energy_formula(m: float) -> float:
     """Closed-form rescaled energy 2 sqrt(32 (2E(m)+K(m)) (E(m)-(1-m)K(m)))."""
-    K = complete_K(m)
-    E = complete_E(m)
+    m = _check_m(m)
+    K, E = complete_K(m), complete_E(m)
     return 2.0 * math.sqrt(32.0 * (2.0 * E + K) * (E - (1.0 - m) * K))
 
 
@@ -155,7 +156,9 @@ def _h(m: float) -> float:
 def monotonicity_certificates(m_grid) -> MonotonicityReport:
     """Closed-form derivatives of f = E h and g = K h (h = E - (1-m)K):
     f' = h^2/(2m) + (1-m)K^2/2, g' = h^2/(2m(1-m)) + K^2/2."""
-    m_grid = np.asarray(m_grid, dtype=float)
+    m_grid = _check_finite(m_grid, "m_grid")
+    if np.ndim(m_grid) != 1:
+        raise ValueError("m_grid must be a 1-d array")
     fp, gp = [], []
     for m in m_grid:
         K = complete_K(m)
@@ -169,23 +172,27 @@ def drop_margin(curve: DiscreteCurve, tol: float = 1e-9) -> float:
     """E_1[curve] - 2 sqrt(varpi*) for an open curve with coinciding endpoints."""
     if curve.closed:
         raise ValueError("a drop is an open curve")
-    _check_eps(tol, "tol")
+    _check_positive(tol, "tol")
     if np.linalg.norm(curve.points[0] - curve.points[-1]) > tol:
         raise ValueError("drop endpoints must coincide")
     return e_lambda(curve, 1.0) - 2.0 * math.sqrt(constants().varpi_star)
 
 
+def _check_alpha(alpha) -> float:
+    alpha = _real_scalar(alpha)
+    if not 0.0 < alpha < math.pi:
+        raise ValueError("alpha must lie in (0, pi)")
+    return alpha
+
+
 def double_bubble_energy(alpha: float) -> float:
     """Energy 4 sqrt(2 alpha (2 alpha + sin alpha)) of the circular-arc
     double bubble at opening angle alpha."""
-    if not 0.0 < alpha < math.pi:
-        raise ValueError("alpha must lie in (0, pi)")
+    alpha = _check_alpha(alpha)
     return 4.0 * math.sqrt(2.0 * alpha * (2.0 * alpha + math.sin(alpha)))
 
 
 def generalized_junction_feasible(alpha: float) -> bool:
     """Whether the wavelike-competitor construction covers the generalized
     angle condition (alpha, alpha, 2 pi - 2 alpha): alpha < pi - phi*."""
-    if not 0.0 < alpha < math.pi:
-        raise ValueError("alpha must lie in (0, pi)")
-    return alpha < math.pi - constants().phi_star
+    return _check_alpha(alpha) < math.pi - constants().phi_star

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_int
+from ._checks import _check_int, _real_scalar
+from .curves import DiscreteCurve
 
 __all__ = [
     "perturbed_circle",
@@ -36,7 +37,7 @@ def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05) -> D
     the radius stays positive and the curve star-shaped and embedded."""
     _check_int(seed, 0, "seed")
     _check_int(n_samples, 3, "n_samples")
-    # written so that NaN fails too
+    noise = _real_scalar(noise)   # nan, which fails, when it is no real number
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must be a finite number with 0 <= noise < 1")
     rng = np.random.default_rng(seed)

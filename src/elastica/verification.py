@@ -138,10 +138,7 @@ def criterion_quantization_ladder() -> CriterionResult:
 
 
 def criterion_flow() -> CriterionResult:
-    checks = []
-    worst_round = 0.0
-    worst_rad_fl = 0.0
-    worst_rad_lam = 0.0
+    checks, worst_round, worst_rad_fl, worst_rad_lam = [], 0.0, 0.0, 0.0
     for seed in range(_FLOW_SEEDS):
         init = perturbed_circle(seed, 1024, 0.05)
         rep = flow.run(init, "fixed-length", init.length(), _FLOW_CONFIG)
@@ -230,11 +227,9 @@ CRITERION_NAMES = tuple(_CRITERIA)
 
 
 def run_criterion(name: str) -> CriterionResult:
-    try:
-        fn = _CRITERIA[name]
-    except KeyError:
+    if name not in _CRITERIA:
         raise ValueError(f"unknown criterion {name!r}; choose from {CRITERION_NAMES}")
-    return fn()
+    return _CRITERIA[name]()
 
 
 def run_all():

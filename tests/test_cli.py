@@ -365,6 +365,29 @@ def test_src_imports_no_scipy_optimize_integrate_or_interpolate():
     assert found == []
 
 
+def test_src_takes_its_shared_checks_from_the_checks_module():
+    """[TRIVIAL] each shared parameter check is defined once, in `_checks`: no
+    module of the package imports a `_check*` name or `_real_coordinates`
+    from another module, or reaches one as a module attribute (as
+    `curves._check_int`); and `exact_bounds`, which does exact Fraction
+    arithmetic, imports no `curves`."""
+    checks = ("_check", "_real_coordinates")
+    found = []
+    for path in sorted(Path(elastica.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] != "_checks":
+                found += [f"{path.name}:{node.lineno}: {a.name} from {node.module}"
+                          for a in node.names if a.name.startswith(checks)]
+            if isinstance(node, ast.Attribute) and node.attr.startswith(checks):
+                found.append(f"{path.name}:{node.lineno}: attribute {node.attr}")
+            if path.stem == "exact_bounds" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] + [a.name for a in node.names]
+                found += [f"{path.name}:{node.lineno}: imports curves" for name in names
+                          if name.split(".")[-1] == "curves"]
+    assert found == []
+
+
 def test_scipy_names_are_the_scipy_objects_after_first_use(subprocess_env):
     """[TRIVIAL] in a fresh interpreter, one `complete_K` call binds all five
     elliptic names to the `scipy.special` ufuncs themselves, and one remesh

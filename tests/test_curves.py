@@ -148,15 +148,27 @@ def test_planar_tangent_tuple_signs():
     assert tup.omegas.shape == (4, 2)
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0, -math.inf, True, "1e-6"])
 def test_eps_must_be_finite_and_positive(eps):
     """[TRIVIAL] the closure search and the multiplicity count share one
     tolerance check; NaN used to give [] and 0 (6 closures exist for k = 4,
-    and the 3-turn circle passes each point 3 times)."""
+    and the 3-turn circle passes each point 3 times), and "1e-6" raised a
+    bare TypeError.  A circle's radius and a wavelike arc's range get the
+    same check: circle(2, True, 64) used to build a unit circle,
+    circle(2, inf, 64) warned, and circle(2, nan, 64) and
+    sample_wavelike(0.5, nan, 1.0, 16) failed naming the coordinates or u."""
     with pytest.raises(ValueError, match="^eps must be finite and positive$"):
         curves.search_planar_closure(4, eps)
     with pytest.raises(ValueError, match="^eps must be finite and positive$"):
         curves.multiplicity(curves.circle(2, 1.0, 1024, turns=3), np.array([1.0, 0.0]), eps)
+    with pytest.raises(ValueError, match="^radius must be finite and positive$"):
+        curves.circle(2, eps, 64)
+    with pytest.raises(ValueError, match="^(s_lo must be a finite number"
+                                         "|s_hi - s_lo must be finite and positive)$"):
+        curves.sample_wavelike(0.5, eps, eps, 16)
+    with pytest.raises(ValueError, match="^(s_hi must be a finite number"
+                                         "|s_hi - s_lo must be finite and positive)$"):
+        curves.sample_wavelike(0.5, 0.0, eps, 16)
 
 
 _COUNT_ARGUMENTS = {
