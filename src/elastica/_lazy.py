@@ -2,16 +2,28 @@
 
 The package's scipy users bind their names through `on_first_use`, so that
 importing the package loads numpy and no scipy module: `elliptic` binds five
-`scipy.special` ufuncs, and `flow` binds LAPACK's `dgtsv` from the compiled
-module `scipy.linalg._flapack`.
+ufuncs from `scipy.special`'s compiled module `scipy.special._ufuncs`, and
+`flow` binds LAPACK's `dgtsv` from the compiled module `scipy.linalg._flapack`.
 
 The first use loads the named module alone (`_load_alone`): it runs the
 `__init__` of the top-level package (`scipy`, which sets up what its compiled
 modules need) and of no package in between, since `scipy.linalg`'s would
-import 75 more scipy modules to hand over one LAPACK routine.  A package in
-between that is loaded later does not hold the module as an attribute, which
-no scipy code reads.  One lock serialises the loads, so threads that reach a
-first use together load the module once and none sees it half executed.
+import 75 more scipy modules to hand over one LAPACK routine and
+`scipy.special`'s 51 more to hand over five ufuncs.  `_ufuncs` imports its
+sibling compiled modules as it executes, so while it does, each package in
+between is a stand-in in `sys.modules`: a module made from the package's spec
+and never executed, removed right after.  A package in between that is
+imported later runs its `__init__` then, finds the module and its siblings in
+`sys.modules` and so holds the same objects.  It holds the module as an
+attribute only if its `__init__` imports it by name: `scipy.special`'s does,
+`scipy.linalg`'s does not, and no scipy code reads `scipy.linalg._flapack` as
+an attribute.
+
+One lock serialises the loads, so threads that reach a first use together
+load the module once and none sees it half executed.  A thread that imports
+a package in between by itself, not through a first use, while such a load
+runs (5–16 ms for `scipy.special._ufuncs` on a 2-vCPU VM) gets the stand-in,
+which has none of the package's names.
 """
 
 from __future__ import annotations
@@ -35,28 +47,38 @@ def _find_spec(name: str, path):
 
 
 def _load_alone(name: str):
-    """The module `name`, loaded without the packages between it and its
-    top-level package: the top-level package is imported, each package in
-    between is only located, and the module itself is executed from its own
-    file and registered in `sys.modules` (and on its parent, if that is
-    loaded) as an import would register it.  A module already in
-    `sys.modules` is returned as it is."""
+    """The module `name`, loaded after its top-level package is imported and
+    without running the `__init__` of any package in between.  While the
+    module executes, each package in between that is not loaded yet is a
+    stand-in in `sys.modules` (made from its spec, never executed), so that
+    the siblings the module imports load alone too; the stand-ins are
+    removed afterwards, whether the module loaded or raised.  The module is
+    registered in `sys.modules` (and on its parent, if that is loaded) as an
+    import would register it.  A module already in `sys.modules` is
+    returned as it is."""
     top, *parts = name.split(".")
     with _LOADING:
         package = importlib.import_module(top)
         if name in sys.modules:
             return sys.modules[name]
-        path = package.__path__
-        for i in range(1, len(parts)):
-            path = _find_spec(".".join([top, *parts[:i]]), path).submodule_search_locations
-        spec = _find_spec(name, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
+        path, stand_ins = package.__path__, []
         try:
+            for i in range(1, len(parts)):
+                between = ".".join([top, *parts[:i]])
+                spec = _find_spec(between, path)
+                path = spec.submodule_search_locations
+                if between not in sys.modules:
+                    sys.modules[between] = importlib.util.module_from_spec(spec)
+                    stand_ins.append(between)
+            spec = _find_spec(name, path)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
         except BaseException:
-            del sys.modules[name]
+            sys.modules.pop(name, None)
             raise
+        finally:
+            for between in stand_ins:
+                sys.modules.pop(between, None)
         parent, _, leaf = name.rpartition(".")
         if parent in sys.modules:
             setattr(sys.modules[parent], leaf, module)

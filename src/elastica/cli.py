@@ -3,7 +3,8 @@
 Subcommands: constants, generate, energy, flow, network, closure-search,
 verify.  Exit codes: 0 success, 1 verification failure, 2 usage error
 (including rejected input: every float option must be a finite number, and
-the flow rejects a non-positive --L0), 3 numerical failure (a flow step that
+the flow rejects a non-positive --L0; and a request, such as a huge --n,
+whose arrays do not fit in memory), 3 numerical failure (a flow step that
 still raised the energy after 20 halvings of dt).
 Every output file gets a manifest JSON written beside it; all numeric
 output is deterministic given identical flags (randomized generators take a
@@ -312,8 +313,8 @@ def dispatch(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError, flow.FlowStepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, flow.FlowStepError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, flow.FlowStepError) else EXIT_USAGE
 
 

@@ -10,9 +10,11 @@ a string) or holds a nan or an infinity fails with one `ValueError` that
 names the parameter, as m outside (0, 1) does.
 
 Importing this module loads no scipy module.  The five names above start as
-stubs, and the first call of any of them imports `scipy.special` and rebinds
-all five to its ufuncs (`_lazy.on_first_use`); from then on each function
-calls the ufunc directly, as a top-level import would.
+stubs, and the first call of any of them loads `scipy.special`'s compiled
+module `scipy.special._ufuncs` alone, without the `scipy.special` package,
+and rebinds all five to its ufuncs (`_lazy.on_first_use`), the very objects
+the package exports; from then on each function calls the ufunc directly, as
+a top-level import would.
 
 scipy's own incomplete F/E routines are not used: in scipy 1.17.1 they return
 wrong values (errors up to 0.15) at some exact `ellipj` amplitudes on the
@@ -35,7 +37,7 @@ from ._checks import _check_finite, _check_m
 from ._lazy import on_first_use
 
 ellipe, ellipj, ellipk, elliprd, elliprf = on_first_use(
-    globals(), "scipy.special", "ellipe", "ellipj", "ellipk", "elliprd", "elliprf")
+    globals(), "scipy.special._ufuncs", "ellipe", "ellipj", "ellipk", "elliprd", "elliprf")
 
 __all__ = [
     "EllipticConstants",

@@ -194,6 +194,31 @@ def test_seed_and_sweep_steps_are_checked(argv, message, tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+# 2**50 samples: an array of them takes more than the 2**47 bytes of a 64-bit
+# process's address space even at one byte a sample, so no allocation succeeds
+_HUGE = 2**50
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "circle", "--n", str(_HUGE)],
+    ["generate", "perturbed-circle", "--seed", "1", "--n", str(_HUGE)],
+    ["generate", "figure-eight", "--n", str(_HUGE)],
+    ["network", "wavelike", "--m", "0.5", "--samples", str(_HUGE)],
+], ids=["circle", "perturbed-circle", "figure-eight", "network-wavelike"])
+def test_counts_too_large_for_memory_are_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] a sample count whose arrays cannot be allocated exits 2 with
+    one `error: …` line that names the size, and writes nothing: it used to
+    print numpy's MemoryError traceback and exit 1, the code of a failed
+    verification."""
+    monkeypatch.chdir(tmp_path)
+    assert dispatch([*argv, "--out", "o.csv"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
+    assert f"shape ({_HUGE}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_exported_name_resolves():
     """[TRIVIAL] each name in a module's __all__ is defined there, so a
     removed name cannot stay exported."""
@@ -299,6 +324,78 @@ def test_first_use_loads_the_module_alone(subprocess_env, tmp_path):
                          check=True, capture_output=True, text=True).stdout
     assert out == ("leaf ran\n42 ['toppkg', 'toppkg.sub.leaf']\n"
                    "broken ran False\nsub ran\nTrue\n")
+
+
+def test_module_that_imports_a_sibling_loads_without_its_package(subprocess_env, tmp_path):
+    """[TRIVIAL] a module loaded alone may import its sibling modules: while
+    it executes, the package in between is a stand-in whose `__init__` never
+    runs, and the stand-in is gone from `sys.modules` afterwards, whether the
+    module loads or raises; a later import of the package runs its
+    `__init__` and holds the same module and sibling."""
+    sub = tmp_path / "toppkg" / "sub"
+    sub.mkdir(parents=True)
+    (tmp_path / "toppkg" / "__init__.py").write_text("")
+    (sub / "__init__.py").write_text("print('sub ran')\nfrom . import leaf, sibling\n")
+    (sub / "sibling.py").write_text("print('sibling ran')\nTWO = 2\n")
+    (sub / "leaf.py").write_text("from .sibling import TWO\ndef twice(x):\n"
+                                 "    return TWO * x\n")
+    (sub / "broken.py").write_text("from . import sibling\nraise RuntimeError('broken ran')\n")
+    code = ("import sys\n"
+            "from elastica._lazy import on_first_use\n"
+            "(twice,) = on_first_use(globals(), 'toppkg.sub.leaf', 'twice')\n"
+            "(x,) = on_first_use(globals(), 'toppkg.sub.broken', 'x')\n"
+            "print(twice(21), sorted(m for m in sys.modules if m.startswith('toppkg')))\n"
+            "try:\n"
+            "    x()\n"
+            "except RuntimeError as e:\n"
+            "    print(e, sorted(m for m in sys.modules if m.startswith('toppkg')))\n"
+            "leaf, sibling = sys.modules['toppkg.sub.leaf'], sys.modules['toppkg.sub.sibling']\n"
+            "import toppkg.sub\n"
+            "print(toppkg.sub.leaf is leaf, toppkg.sub.sibling is sibling)\n")
+    # the child runs in tmp_path, which `python -c` puts first on sys.path
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True).stdout
+    loaded = "['toppkg', 'toppkg.sub.leaf', 'toppkg.sub.sibling']"
+    assert out == (f"sibling ran\n42 {loaded}\nbroken ran {loaded}\n"
+                   "sub ran\nTrue True\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "figure-eight", "--halves", "2", "--n", "256", "--out", "fe.csv"],
+    ["network", "sweep", "--m-lo", "0.1", "--m-hi", "0.8", "--steps", "9", "--out", "s.csv"],
+], ids=["generate-figure-eight", "network-sweep"])
+def test_elliptic_commands_load_the_ufunc_module_without_its_package(argv, subprocess_env,
+                                                                     tmp_path):
+    """[TRIVIAL] in a fresh interpreter, a command that evaluates elliptic
+    functions loads `scipy.special`'s compiled module `scipy.special._ufuncs`
+    alone: the `scipy.special` package, whose `__init__` imports 51 more
+    scipy modules, does not load."""
+    code = ("import sys\n"
+            "from elastica.cli import dispatch\n"
+            f"code = dispatch({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m in "
+            "('scipy', 'scipy.special', 'scipy.special._ufuncs', 'scipy.linalg')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 ['scipy', 'scipy.special._ufuncs']"
+
+
+def test_scipy_special_imported_after_a_first_use_is_the_full_package(subprocess_env):
+    """[TRIVIAL] after the first elliptic evaluation, `import scipy.special`
+    in the same interpreter runs the package's `__init__`: it is the full
+    package, whose `_ufuncs` is the module loaded alone and whose five
+    ufuncs are the elliptic module's."""
+    code = ("import sys\n"
+            "from elastica import elliptic\n"
+            "assert elliptic.complete_K(0.5) == 1.8540746773013719\n"
+            "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+            "import scipy.special\n"
+            "names = ('ellipe', 'ellipj', 'ellipk', 'elliprd', 'elliprf')\n"
+            "print(scipy.special.gamma(5.0) == 24.0, scipy.special._ufuncs is ufuncs,\n"
+            "      all(getattr(elliptic, n) is getattr(scipy.special, n) for n in names))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "True True True\n"
 
 
 def test_concurrent_first_uses_load_each_module_once(subprocess_env):
