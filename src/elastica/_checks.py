@@ -95,11 +95,14 @@ def _check_m(m) -> float:
     return value
 
 
-def _check_int(value, low: int, name: str) -> None:
-    """A count: an integer (not a bool) >= low."""
+def _check_int(value, low: int, name: str, why: str = "", sized: bool = False) -> None:
+    """A count: an integer (not a bool) >= low, `why` ending the message; one
+    that sizes a float array (`sized`) also fits the array's bytes in an intp."""
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}")
+        raise ValueError(f"{name} must be an integer >= {low}{why}")
+    if sized and value > (most := np.iinfo(np.intp).max // 8):
+        raise ValueError(f"{name} must be at most {most}, the most floats in one numpy array")
 
 
 def _check_closed(closed) -> bool:

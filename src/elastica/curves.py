@@ -45,7 +45,7 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-column dot products of two (dim, n) arrays, summed over the rows
     in order: a[0]*b[0] + a[1]*b[1] + ...  For a = b and fewer than 8 rows
     this is the order in which `np.linalg.norm(..., axis=1)` sums the squares
-    of an (n, dim) array; `np.einsum` sums three or more terms in another
+    of an (n, dim) array; numpy's einsum sums three or more terms in another
     order."""
     p = a * b
     s = p[0]
@@ -54,15 +54,20 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
+def _cyclic_pad(a: np.ndarray, k: int) -> np.ndarray:
+    """a with its last k entries along the last axis put before them and its
+    first k after them, so that cyclic stencils read off consecutive slices."""
+    return np.concatenate([a[..., -k:], a, a[..., :k]], axis=-1)
+
+
 def _edge_norms(rows: np.ndarray, closed: bool) -> np.ndarray:
     """Edge lengths of the polygon whose coordinates are the rows of a
     (dim, n) array, closing edge last for closed curves: the bits of
     `np.linalg.norm` over the coordinates of each edge vector.  An edge too
     long for a float comes out as inf, without a numpy warning."""
-    ahead = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1) if closed else rows[:, 1:]
-    behind = rows if closed else rows[:, :-1]
+    p = _cyclic_pad(rows, 1)[:, 1:] if closed else rows
     with np.errstate(over="ignore"):
-        e = ahead - behind
+        e = p[:, 1:] - p[:, :-1]
         return np.sqrt(_dot_rows(e, e))
 
 
@@ -194,7 +199,7 @@ def sample_wavelike(m: float, s_lo: float, s_hi: float, n_samples: int) -> Discr
     (2E(am(s,m),m) - s, -2 sqrt(m) cn(s,m)); signed curvature 2 sqrt(m) cn(s,m)."""
     s_lo, s_hi = _check_number(s_lo, "s_lo"), _check_number(s_hi, "s_hi")
     _check_positive(s_hi - s_lo, "s_hi - s_lo")
-    _check_int(n_samples, 3, "n_samples")
+    _check_int(n_samples, 3, "n_samples", sized=True)
     svals = np.linspace(s_lo, s_hi, n_samples)
     am = elliptic.amplitude(svals, m)
     pts = np.column_stack([2.0 * elliptic.incomplete_E(am, m) - svals,
@@ -207,15 +212,12 @@ def sample_figure_eight(N_halves: int, n_samples: int) -> DiscreteCurve:
     starting at the origin.  Even N_halves close up and give a closed curve,
     odd N_halves an open one."""
     _check_int(N_halves, 1, "N_halves")
-    # at least 8 samples per half-period
-    _check_int(n_samples, 8 * N_halves, "n_samples")
+    _check_int(n_samples, 8 * N_halves, "n_samples",
+               f", 8 per half-period for N_halves={N_halves}", sized=True)
     c = constants()
     closed = N_halves % 2 == 0
     total = 2.0 * N_halves * c.K_star
-    if closed:
-        svals = np.linspace(0.0, total, n_samples, endpoint=False)
-    else:
-        svals = np.linspace(0.0, total, n_samples)
+    svals = np.linspace(0.0, total, n_samples, endpoint=not closed)
     u = svals - c.K_star
     am = elliptic.amplitude(u, c.m_star)
     pts = np.column_stack([-2.0 * elliptic.incomplete_E(am, c.m_star) + u,
@@ -229,7 +231,7 @@ def sample_figure_eight(N_halves: int, n_samples: int) -> DiscreteCurve:
 def canonical_half_leaf(n_samples: int) -> DiscreteCurve:
     """One half-period [0, 2K(m*)] of the figure-eight: starts and ends at the
     origin with tangents at angle 2 phi* and zero curvature at the ends."""
-    _check_int(n_samples, 16, "n_samples")
+    _check_int(n_samples, 16, "n_samples", sized=True)
     return sample_figure_eight(1, n_samples)
 
 
@@ -361,9 +363,9 @@ def search_planar_closure(k: int, eps: float) -> list:
 def circle(n: int, radius: float, n_samples: int, turns: int = 1) -> DiscreteCurve:
     """Closed planar circle embedded in R^n (first two coordinates); turns > 1
     gives a multiply covered circle."""
-    _check_int(n, 2, "dimension")
+    _check_int(n, 2, "dimension", sized=True)
     radius = _check_positive(radius, "radius")
-    _check_int(n_samples, 3, "n_samples")
+    _check_int(n_samples, 3, "n_samples", sized=True)
     _check_int(turns, 1, "turns")
     theta = np.linspace(0.0, 2.0 * math.pi * turns, n_samples, endpoint=False)
     pts = np.zeros((n_samples, n))
@@ -374,7 +376,7 @@ def circle(n: int, radius: float, n_samples: int, turns: int = 1) -> DiscreteCur
 
 def segment(p: np.ndarray, q: np.ndarray, n_samples: int) -> DiscreteCurve:
     """Uniform samples of the straight segment from p to q."""
-    _check_int(n_samples, 3, "n_samples")
+    _check_int(n_samples, 3, "n_samples", sized=True)
     p, q = _check_finite(p, "p"), _check_finite(q, "q")
     if np.ndim(p) != 1 or np.shape(p) != np.shape(q):
         raise ValueError("p and q must be points of one dimension")
@@ -595,18 +597,15 @@ def is_embedded(curve: DiscreteCurve) -> bool:
     Neither uses an absolute threshold, so the answer does not depend on
     the curve's scale or position.  Each batch of candidate pairs is tested
     as the sweep yields it, so a crossing curve stops at its first crossing."""
-    rows = curve.rows
-    # segment i runs from point i to point i + 1, cyclically when closed
-    ends = np.concatenate([rows[:, 1:], rows[:, :1]], axis=1) if curve.closed else rows[:, 1:]
-    starts = rows[:, :ends.shape[1]]
+    # segment i runs from point i to point i + 1 of p (point n is point 0 if closed)
+    p = _cyclic_pad(curve.rows, 1)[:, 1:] if curve.closed else curve.rows
+    starts, ends = p[:, :-1], p[:, 1:]
     lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
     if curve.dimension == 2:
         xs = ys = None
         for i, j in _candidate_pairs(lo, hi, curve.closed):
             if xs is None:
-                # point i + 1 ends segment i; the copy of point 0 at index n
-                # ends a closed curve's last segment
-                xs, ys = (r + r[:1] for r in _snap(rows).tolist())
+                xs, ys = _snap(p).tolist()
             for a, b in zip(i.tolist(), j.tolist()):
                 if _segments_intersect_2d((xs[a], ys[a]), (xs[a + 1], ys[a + 1]),
                                           (xs[b], ys[b]), (xs[b + 1], ys[b + 1])):

@@ -5,7 +5,8 @@ length-penalized energy, and multiplicity-inequality margins.
 Curvature is the second difference of position in arclength (three-point
 stencil with non-uniform spacing correction), integrated with half-edge node
 weights; convergence is second order on smooth generators.  Open curves skip
-the two boundary nodes.
+the two boundary nodes.  Every functional, and the flow, reads one such pass
+(`_curvature_rows`), which sums |kappa|^2 over the coordinates in order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import _check_int, _check_lambda, _check_positive
-from .curves import DiscreteCurve, _dot_rows, _has_point_of_multiplicity
+from .curves import DiscreteCurve, _cyclic_pad, _dot_rows, _has_point_of_multiplicity
 from .elliptic import constants
 
 __all__ = [
@@ -34,20 +35,21 @@ __all__ = [
     "report",
 ]
 
-def _curvature_rows(X: np.ndarray, h: np.ndarray, closed: bool):
-    """`curvature_vectors` on coordinate rows: X is (dim, n), h the edge
-    lengths; returns kappa as (dim, m) rows and the m weights."""
-    if closed:
-        # wrap one node (and one edge) around, so both cases read the stencil
-        # off consecutive slices
-        X = np.concatenate([X[:, -1:], X, X[:, :1]], axis=1)
-        h = np.concatenate([h[-1:], h])
+def _curvature_rows(curve: DiscreteCurve):
+    """The one curvature pass, on coordinate rows: kappa as (dim, m) rows, the
+    m weights w, |kappa|^2 per node (`_dot_rows`) and B = sum |kappa|^2 w."""
+    X, h = curve.rows, curve.edge_lengths()
+    if curve.closed:
+        # one node and one edge wrapped around, so both cases read one stencil
+        X, h = _cyclic_pad(X, 1), _cyclic_pad(h, 1)[:-1]
     # unit edge vectors: the stencil's (p_next - p) / h_next is t[:, 1:] and
     # its (p - p_prev) / h_prev is t[:, :-1]
     t = (X[:, 1:] - X[:, :-1]) / h
     span = h[:-1] + h[1:]
     kappa = 2.0 / span * (t[:, 1:] - t[:, :-1])
-    return kappa, 0.5 * span
+    with np.errstate(over="ignore"):   # a |kappa|^2 or B past a float is inf
+        w, k2 = 0.5 * span, _dot_rows(kappa, kappa)
+        return kappa, w, k2, float(np.sum(k2 * w))
 
 
 def curvature_vectors(curve: DiscreteCurve):
@@ -58,19 +60,18 @@ def curvature_vectors(curve: DiscreteCurve):
     their two end nodes) and weights are the half-sums of adjacent edge
     lengths.
     """
-    kappa, weights = _curvature_rows(curve.rows, curve.edge_lengths(), curve.closed)
+    kappa, weights, _, _ = _curvature_rows(curve)
     return kappa.T.copy(), weights
 
 
 def length(curve: DiscreteCurve) -> float:
     """Total edge length."""
-    return float(curve.edge_lengths().sum())
+    return curve.length()
 
 
 def bending_energy(curve: DiscreteCurve) -> float:
     """Integral of squared curvature, B = sum |kappa_i|^2 w_i."""
-    kappa, w = curvature_vectors(curve)
-    return float(np.sum(np.einsum("ij,ij->i", kappa, kappa) * w))
+    return _curvature_rows(curve)[3]
 
 
 def normalized_bending(curve: DiscreteCurve) -> float:
@@ -80,8 +81,8 @@ def normalized_bending(curve: DiscreteCurve) -> float:
 
 def total_curvature(curve: DiscreteCurve) -> float:
     """Integral of |kappa|."""
-    kappa, w = _curvature_rows(curve.rows, curve.edge_lengths(), curve.closed)
-    return float(np.sum(np.sqrt(_dot_rows(kappa, kappa)) * w))
+    _, w, k2, _ = _curvature_rows(curve)
+    return float(np.sum(np.sqrt(k2) * w))
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,12 @@ def li_yau_margin(curve: DiscreteCurve, k: int, eps: float = None) -> float:
     curve's first marked vertex or, without marks, one of its samples.
     """
     _check_int(k, 2, "k")
-    eps = 1e-6 * length(curve) if eps is None else _check_positive(eps, "eps")
+    L = length(curve)
+    eps = 1e-6 * L if eps is None else _check_positive(eps, "eps")
     if not _has_point_of_multiplicity(curve, k, eps):
         raise ValueError(f"no point of multiplicity >= {k} found at eps={eps:g}")
     quota = k * k if curve.closed else (k - 1) ** 2
-    return normalized_bending(curve) - constants().varpi_star * quota
+    return L * bending_energy(curve) - constants().varpi_star * quota
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,12 @@ def report(curve: DiscreteCurve, lam: float = 1.0) -> EnergyReport:
     lam = _check_lambda(lam)
     with np.errstate(over="ignore"):
         L = length(curve)
-        B = bending_energy(curve)
+        _, w, k2, B = _curvature_rows(curve)   # one pass for B and the total curvature
         rep = EnergyReport(
             length=L,
             bending=B,
             normalized_bending=L * B,
-            total_curvature=total_curvature(curve),
+            total_curvature=float(np.sum(np.sqrt(k2) * w)),
             e_lambda=B + lam * L,
             lam=lam,
         )

@@ -19,7 +19,8 @@ spline through the trial polygon, solved here to the bit as scipy's
 `CubicSpline` with periodic ends would give it; the first remesh binds LAPACK's
 `dgtsv` from `scipy.linalg._flapack`, loaded alone (`_lazy.on_first_use`).
 Building a `FlowState` makes its curve's one geometry pass, which the energy
-test, the next step and the monitoring read.
+test, the next step and the monitoring read; its kappa, |kappa|^2 and B are
+`energy`'s one curvature pass, so B is `bending_energy` in every dimension.
 
 A step computes on C-contiguous (dim, n) coordinate rows (the curve's own
 read-only `rows`), with per-node dot products taken as row sums in coordinate
@@ -41,7 +42,8 @@ import numpy as np
 
 from ._checks import _check_int, _check_lambda, _check_number, _check_positive
 from ._lazy import on_first_use
-from .curves import DiscreteCurve, _curve_edge_norms, _dot_rows, _edge_norms, is_embedded
+from .curves import (DiscreteCurve, _curve_edge_norms, _cyclic_pad, _dot_rows, _edge_norms,
+                     is_embedded)
 from .energy import _curvature_rows
 
 # LAPACK's tridiagonal solve, from the compiled module alone on the first remesh
@@ -162,12 +164,6 @@ class _Geometry:
         return self.B
 
 
-def _cyclic_pad(a: np.ndarray, k: int) -> np.ndarray:
-    """Rows a with their last k columns put before them and their first k
-    columns after them, so that cyclic stencils read off consecutive slices."""
-    return np.concatenate([a[:, -k:], a, a[:, :k]], axis=1)
-
-
 def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
                               T: np.ndarray) -> np.ndarray:
     f = _cyclic_pad(field_vals, 1)
@@ -176,9 +172,8 @@ def _cyclic_normal_derivative(field_vals: np.ndarray, span: np.ndarray,
 
 
 def _geometry(curve: DiscreteCurve) -> _Geometry:
-    X = curve.rows
-    kappa, w = _curvature_rows(X, curve.edge_lengths(), True)
-    p = _cyclic_pad(X, 1)
+    kappa, w, k2, B = _curvature_rows(curve)
+    p = _cyclic_pad(curve.rows, 1)
     chords = p[:, 2:] - p[:, :-2]
     c2 = _dot_rows(chords, chords)
     if not c2.min() > 0.0:
@@ -187,9 +182,7 @@ def _geometry(curve: DiscreteCurve) -> _Geometry:
     # h_{i-1} + h_i: w is their half-sum, and halving and doubling are exact
     span = 2.0 * w
     lap = _cyclic_normal_derivative(_cyclic_normal_derivative(kappa, span, T), span, T)
-    k2 = _dot_rows(kappa, kappa)
-    return _Geometry(X=X, kappa=kappa, w=w, k2=k2, lap=lap,
-                     B=float(np.sum(k2 * w)), L=curve.length())
+    return _Geometry(X=curve.rows, kappa=kappa, w=w, k2=k2, lap=lap, B=B, L=curve.length())
 
 
 def normal_laplacian_kappa(curve: DiscreteCurve) -> np.ndarray:
@@ -230,10 +223,10 @@ def _uniform_arclength(rows: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     dx = x[1:] - x[:-1]
     if not (dx > 0.0).all():
         raise ValueError("arclength knots must be strictly increasing")
-    y = np.concatenate([rows, rows[:, :1]], axis=1)
+    y = _cyclic_pad(rows, 1)[:, 1:]
     slope = (y[:, 1:] - y[:, :-1]) / dx
-    dxw = np.concatenate([dx[-1:], dx])   # dxw[i] = dx[i - 1], cyclically
-    sw = np.concatenate([slope[:, -1:], slope], axis=1)
+    dxw = _cyclic_pad(dx, 1)[:-1]   # dxw[i] = dx[i - 1], cyclically
+    sw = _cyclic_pad(slope, 1)[:, :-1]
     b = 3 * (dxw[1:] * sw[:, :-1] + dxw[:-1] * sw[:, 1:])
     # row i couples s_{i-1}, s_i, s_{i+1}; rows 0..m-2 with s_{m-1} moved
     # into the extra column, row m-1 closes the system; the right-hand sides
@@ -307,6 +300,11 @@ def _implicit_step(X: np.ndarray, vel: np.ndarray, h: float, dt: float,
         return np.fft.irfft(np.fft.rfft(rhs, axis=1) / denom, n=n, axis=1)
 
 
+def _centroid(rows: np.ndarray) -> np.ndarray:
+    """The (dim, 1) mean of (dim, n) rows, summed as `points.mean(axis=0)` sums."""
+    return np.cumsum(rows, axis=1)[:, -1:] / rows.shape[1]
+
+
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one accepted time step: try config.dt, halve it on an energy
     increase beyond the slack, FlowStepError after 20 halvings."""
@@ -323,9 +321,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         Z = _uniform_arclength(Y, _curve_edge_norms(Y, True), n)
         if state.mode == "fixed-length":
             sc = state.target_length / float(_edge_norms(Z, True).sum())
-            # the sum in order along each row, as pts.mean(axis=0) sums the
-            # columns of (n, dim) points
-            centroid = np.cumsum(Z, axis=1)[:, -1:] / n
+            centroid = _centroid(Z)
             Z = centroid + sc * (Z - centroid)
         new_state = FlowState(DiscreteCurve(Z.T, closed=True), time=state.time + dt,
                               lam=lam, mode=state.mode, target_length=state.target_length)
@@ -336,8 +332,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 
 def _roundness(curve: DiscreteCurve) -> tuple:
-    c = curve.points.mean(axis=0)
-    r = np.linalg.norm(curve.points - c, axis=1)
+    d = curve.rows - _centroid(curve.rows)
+    r = np.sqrt(_dot_rows(d, d))
     return float(r.std() / r.mean()), float(r.mean())
 
 

@@ -101,7 +101,7 @@ def build_wavelike_network(m: float, n_samples: int = 512) -> ThetaNetwork:
     m = _real_scalar(m)
     if not 0.0 < m < constants().m_star:
         raise ValueError("need 0 < m < m*: the connecting segment degenerates otherwise")
-    _check_int(n_samples, 64, "n_samples")
+    _check_int(n_samples, 64, "n_samples", sized=True)
     K = complete_K(m)
     E = complete_E(m)
     half_gap = 2.0 * E - K  # > 0 for m < m*

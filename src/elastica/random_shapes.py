@@ -36,7 +36,7 @@ def perturbed_circle(seed: int, n_samples: int = 1024, noise: float = 0.05) -> D
     perturbation of relative size `noise`, finite with 0 <= noise < 1 so that
     the radius stays positive and the curve star-shaped and embedded."""
     _check_int(seed, 0, "seed")
-    _check_int(n_samples, 3, "n_samples")
+    _check_int(n_samples, 3, "n_samples", sized=True)
     noise = _real_scalar(noise)   # nan, which fails, when it is no real number
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must be a finite number with 0 <= noise < 1")
@@ -51,7 +51,7 @@ def random_drop(seed: int, n_samples: int = 512) -> DiscreteCurve:
     """Open smooth loop with coinciding endpoints: a radial perturbation of a
     circle traversed once, sampled at theta = 0 and theta = 2 pi alike."""
     _check_int(seed, 0, "seed")
-    _check_int(n_samples, 2, "n_samples")
+    _check_int(n_samples, 2, "n_samples", sized=True)
     rng = np.random.default_rng(seed)
     theta = np.linspace(0.0, 2.0 * np.pi, n_samples + 1)
     r = 1.0 + _fourier_bump(rng, theta, (2, 3, 4), 0.2)

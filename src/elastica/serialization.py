@@ -269,10 +269,9 @@ def network_to_json(net: ThetaNetwork, path, generator: Optional[str] = None,
         "junction_b": [format_float(v) for v in net.junction_b],
         "angle_spec": [format_float(a) for a in net.angle_spec],
     }
-    if net.start_tangents is not None:
-        doc["start_tangents"] = [[format_float(v) for v in row] for row in net.start_tangents]
-    if net.end_tangents is not None:
-        doc["end_tangents"] = [[format_float(v) for v in row] for row in net.end_tangents]
+    for key in ("start_tangents", "end_tangents"):
+        if getattr(net, key) is not None:
+            doc[key] = [[format_float(v) for v in row] for row in getattr(net, key)]
     if generator is not None:
         doc["generator"] = generator
         doc["parameters"] = parameters or {}

@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -216,6 +217,51 @@ def test_counts_too_large_for_memory_are_a_usage_error(argv, tmp_path, capsys, m
     assert out == ""
     assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
     assert f"shape ({_HUGE}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# a count beyond the int64 shape range, and the most float64s one array holds
+_BEYOND = 10**19
+_MOST_FLOATS = np.iinfo(np.intp).max // 8
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["generate", "circle", "--n", str(_BEYOND)], "n_samples"),
+    (["generate", "circle", "--dim", str(_BEYOND)], "dimension"),
+    (["network", "wavelike", "--m", "0.5", "--samples", str(_BEYOND)], "n_samples"),
+], ids=["circle-n", "circle-dim", "network-wavelike-samples"])
+def test_counts_beyond_the_largest_array_name_their_limit(argv, name, tmp_path, capsys,
+                                                          monkeypatch):
+    """[TRIVIAL] a sample count or a dimension larger than the most floats
+    one numpy array holds exits 2 with one line that names the parameter and
+    the limit, and writes nothing: these used to print numpy's "Maximum
+    allowed size exceeded" or "Maximum allowed dimension exceeded".  The
+    check refuses before any array is made: the run allocates under 1 MiB."""
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = dispatch([*argv, "--out", "o.csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: {name} must be at most {_MOST_FLOATS}, the most floats in one numpy array\n")
+    assert peak < 2**20
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_eight_count_message_gives_the_bound_per_half_period(tmp_path, capsys,
+                                                                    monkeypatch):
+    """[TRIVIAL] too few samples for the figure-eight's half-periods exits 2
+    with a message that names n_samples and says the bound is 8 samples per
+    half-period; it used to print a bare `n_samples must be an integer >=
+    8000000000000000`, whose bound came from --halves unannounced."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "figure-eight", "--halves", "1000000000000000", "--n", "10"]
+    assert dispatch([*argv, "--out", "o.csv"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: n_samples must be an integer >= 8000000000000000, "
+                                   "8 per half-period for N_halves=1000000000000000\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -459,6 +505,26 @@ def test_src_imports_no_scipy_optimize_integrate_or_interpolate():
             if id(node) not in in_functions:
                 found += [f"{path.name}:{node.lineno}: top-level {name}" for name in names
                           if _is_under(name, "scipy")]
+    assert found == []
+
+
+def test_src_calls_no_einsum():
+    """[TRIVIAL] no module of the package names `np.einsum` or uses einsum
+    (as an attribute of any module, or imported by name): per-node dot
+    products go through `curves._dot_rows`, which sums the coordinates in
+    order, so |kappa|^2 and B have one set of bits in every dimension
+    (einsum adds three or more terms in another order)."""
+    found = []
+    for path in sorted(Path(elastica.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if "np.einsum" in text:
+            found.append(f"{path.name}: np.einsum")
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "einsum":
+                found.append(f"{path.name}:{node.lineno}: .einsum")
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}: imports einsum"
+                          for a in node.names if a.name == "einsum"]
     assert found == []
 
 

@@ -178,7 +178,7 @@ _COUNT_ARGUMENTS = {
     "sample_figure_eight-N_halves": (lambda v: curves.sample_figure_eight(v, 256),
                                      "N_halves", 1),
     "sample_figure_eight-n_samples": (lambda v: curves.sample_figure_eight(2, v),
-                                      "n_samples", 16),
+                                      "n_samples", "16, 8 per half-period for N_halves=2"),
     "canonical_half_leaf": (curves.canonical_half_leaf, "n_samples", 16),
     "propeller_curve": (curves.propeller_curve, "n_samples", 16),
     "propeller_eight_tuple": (curves.propeller_eight_tuple, "k", 5),
@@ -209,6 +209,36 @@ def test_counts_must_be_integers(call, value):
     fn, name, low = _COUNT_ARGUMENTS[call]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}$"):
         fn(value)
+
+
+# the counts that size a float array
+_SIZED = ["sample_wavelike-n_samples", "sample_figure_eight-n_samples", "canonical_half_leaf",
+          "propeller_curve", "circle-dimension", "circle-n_samples", "segment",
+          "perturbed_circle", "random_drop", "build_wavelike_network"]
+
+
+@pytest.mark.parametrize("value", [np.iinfo(np.intp).max // 8 + 1, 2**63 - 1, np.uint64(2**64 - 1),
+                                   10**400], ids=["2**60", "2**63-1", "uint64-max", "10**400"])
+@pytest.mark.parametrize("call", _SIZED)
+def test_counts_that_size_arrays_fit_the_largest_float_array(call, value):
+    """[TRIVIAL] a sample count or a dimension is at most the most float64s
+    one numpy array holds (the array's bytes fit an intp).  Beyond it numpy
+    refused the request with its own words ("array is too big", "Maximum
+    allowed size exceeded"), and within 512 of 2**63 `linspace` made an empty
+    grid and raised an IndexError."""
+    fn, name, _ = _COUNT_ARGUMENTS[call]
+    most = np.iinfo(np.intp).max // 8
+    with pytest.raises(ValueError, match=f"^{name} must be at most {most}, "
+                                         "the most floats in one numpy array$"):
+        fn(value)
+
+
+def test_seeds_and_counts_that_size_no_array_stay_unbounded():
+    """[TRIVIAL] only counts that size an array are bounded above: a seed
+    beyond int64 seeds numpy's generator, and a circle may turn 10**20 times."""
+    assert perturbed_circle(10**30, 16).n_points == 16
+    assert random_drop(2**70, 16).n_points == 17
+    assert curves.circle(2, 1.0, 7, turns=10**20).n_points == 7
 
 
 @pytest.mark.parametrize("value", [2.5, True, None, "3", -1], ids=repr)

@@ -497,3 +497,18 @@ def test_energy_report_fields():
     d = rep.as_dict()
     assert d["e_lambda"] == pytest.approx(d["bending"] + 0.5 * d["length"], rel=1e-14)
     assert d["normalized_bending"] == pytest.approx(d["length"] * d["bending"], rel=1e-14)
+
+
+def test_report_makes_one_curvature_pass(monkeypatch):
+    """[TRIVIAL] `report` reads B and the total curvature off one call of the
+    curvature pass; it used to run the stencil once for each."""
+    calls = []
+    curvature_rows = energy._curvature_rows
+
+    def counted(*args):
+        calls.append(args)
+        return curvature_rows(*args)
+
+    monkeypatch.setattr(energy, "_curvature_rows", counted)
+    energy.report(curves.propeller_curve(64), lam=0.5)
+    assert len(calls) == 1

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elastica import curves, flow
+from elastica import curves, energy, flow
 from elastica.elliptic import constants
-from elastica.energy import bending_energy, curvature_vectors, length
+from elastica.energy import bending_energy, curvature_vectors, length, normalized_bending
 from elastica.random_shapes import perturbed_circle
 
 
@@ -285,6 +285,21 @@ def test_geometry_rows_match_curvature_vectors_and_reference(n):
     assert geom.B == bending_energy(g)
 
 
+@pytest.mark.parametrize("curve", [
+    pytest.param(curves.propeller_curve(512), id="propeller-512"),
+    pytest.param(_spatial_curve(128), id="spatial-128")])
+def test_geometry_and_energy_read_one_pass_in_3d(curve):
+    """[DERIVED] in R^3 the flow's B, `bending_energy`, and the report's B and
+    total curvature are one curvature pass's values, to the bit: on the
+    propeller the flow summed |kappa|^2 in coordinate order and
+    `bending_energy` by einsum, 84.32844028551932 against 84.3284402855193."""
+    B = bending_energy(curve)
+    rep = energy.report(curve)
+    assert flow._geometry(curve).B == B
+    assert rep.bending == B
+    assert rep.total_curvature == energy.total_curvature(curve)
+
+
 def test_run_evaluates_curvature_once_per_trial(monkeypatch):
     """[TRIVIAL] one flow.run makes the geometry pass (the one curvature
     evaluation) at most once per trial step plus once at the start."""
@@ -405,3 +420,100 @@ def test_resample_matches_scipy_cubic_spline_bitwise(shape, dim, n):
     for n_out in (n, 2 * n + 1):
         expected = spline(np.linspace(0.0, knots[-1], n_out, endpoint=False))
         assert flow._resample_uniform(curve, n_out).points.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the paper's flow application: the Li-Yau inequality at k = 2 says that a
+# closed curve with B-bar < 4 varpi* has no double point, in any codimension,
+# and the length-preserving flow does not raise B-bar, so a fixed-length flow
+# started below 4 varpi* stays embedded
+
+_FOUR_VARPI = 4.0 * constants().varpi_star
+# the window's margin: the curves flowed start at B-bar_h <= (1 - delta) 4 varpi*,
+# far above the discrete defect C / n^2 (about 3e-4 at n = 256) measured below
+_DELTA = 0.05
+
+
+def _lifted(curve, seed):
+    """The closed planar curve lifted to R^3 by z = 0.1 sin(2 theta + seed)."""
+    t = np.linspace(0.0, 2.0 * np.pi, curve.n_points, endpoint=False)
+    return curves.DiscreteCurve(np.column_stack([curve.points, 0.1 * np.sin(2.0 * t + seed)]),
+                                closed=True)
+
+
+def _window_curves():
+    """The perturbed circles at noise 0.12 and 0.15 (seeds 0-9, n = 256) and
+    their lifts to R^3 whose B-bar_h lies in the window."""
+    found = []
+    for noise in (0.12, 0.15):
+        for seed in range(10):
+            g = perturbed_circle(seed, 256, noise)
+            found += [c for c in (g, _lifted(g, seed))
+                      if normalized_bending(c) <= (1.0 - _DELTA) * _FOUR_VARPI]
+    return found
+
+
+_WINDOW = _window_curves()
+
+
+def test_window_holds_the_measured_curves():
+    """[PAPER] 11 planar curves (B-bar_h from 0.57 to 0.89 times 4 varpi*)
+    and their 11 lifts (0.58 to 0.90) lie in the window."""
+    assert [c.dimension for c in _WINDOW].count(2) == 11
+    assert [c.dimension for c in _WINDOW].count(3) == 11
+
+
+@pytest.mark.parametrize("curve", _WINDOW,
+                         ids=[f"{c.dimension}d-{i}" for i, c in enumerate(_WINDOW)])
+def test_fixed_length_flow_below_four_varpi_stays_embedded(curve):
+    """[PAPER] a fixed-length flow started at B-bar_h <= (1 - delta) 4 varpi*
+    is embedded at every step, each step raises B by at most the energy
+    test's slack, and it keeps its length, so B-bar_h stays below 4 varpi*.
+    The flows step at the flow criterion's dt = 3e-2 and reach a round circle
+    (B-bar = 4 pi^2) in 62-72 steps."""
+    rows = []
+    L0 = curve.length()
+    config = flow.FlowConfig(dt=3e-2, max_steps=2000, embed_check_every=1)
+    rep = flow.run(curve, "fixed-length", L0, config, observer=lambda *row: rows.append(row))
+    assert rep.converged and len(rows) >= 10
+    for (_, e0, _, _, _), (_, e1, L1, _, embedded) in zip(rows, rows[1:]):
+        assert embedded
+        assert e1 <= e0 + flow._ENERGY_SLACK * max(1.0, e0)
+        assert abs(L1 - L0) <= 1e-12 * L0
+        assert L1 * e1 < _FOUR_VARPI
+
+
+# C in the contrapositive below: the figure-eight's (1 - B-bar_h / 4 varpi*) n^2
+# rises with n to 20.383 (19.23 at n = 16, 20.31 at 64, 20.382 at 512); every
+# other non-embedded curve here lies far above 4 varpi*
+_DEFECT_C = 21.0
+
+
+def _non_embedded_curves():
+    """The generators' closed curves with a double point: figure-eights with
+    N = 2 and 4 half-periods and 2- and 3-turn circles at even and odd n,
+    each rolled by a seeded shift and rotated by a seeded orthogonal map, in
+    R^2 and R^3."""
+    rng = np.random.default_rng(25)
+    cases = [curves.sample_figure_eight(2, n) for n in (16, 17, 64, 255, 1024)]
+    cases += [curves.sample_figure_eight(4, n) for n in (32, 64, 257)]
+    cases += [curves.circle(2, 1.0, n, turns=k) for k in (2, 3) for n in (32, 63, 128)]
+    out = []
+    for c in cases:
+        for dim in (2, 3):
+            pts = np.column_stack([c.points, np.zeros((c.n_points, dim - 2))])
+            rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            pts = np.roll(pts, int(rng.integers(c.n_points)), axis=0) @ rotation.T
+            out.append(curves.DiscreteCurve(pts, closed=True))
+    return out
+
+
+def test_non_embedded_curves_reach_four_varpi_up_to_the_discrete_defect():
+    """[PAPER] the contrapositive on the generators' curves: `is_embedded`
+    False implies B-bar_h >= (1 - C / n^2) 4 varpi* with C = 21.  The
+    polygonal figure-eight lies below 4 varpi* by an O(h^2) defect (0.99504
+    times 4 varpi* at n = 64), so the discrete inequality needs the C."""
+    for c in _non_embedded_curves():
+        assert not curves.is_embedded(c)
+        n = c.n_points
+        assert normalized_bending(c) >= (1.0 - _DEFECT_C / n**2) * _FOUR_VARPI
